@@ -27,7 +27,6 @@ from .protocol import (
     EnrollmentRecord,
     authenticate,
     enroll,
-    framed_key,
     key_digest,
     load_record,
     recover_key,

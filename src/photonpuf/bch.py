@@ -32,9 +32,6 @@ __all__ = [
 
 _MAGIC = b"PUFB"
 
-# numpy loops win over int loops once the code is longer than a machine word
-_VECTOR_MIN_LEN = 64
-
 
 # ----------------------------------------------------------------------
 # polynomials over GF(2), encoded as python ints (bit i = coefficient of x^i)
@@ -286,24 +283,11 @@ def encode(params: BchParams, secret) -> np.ndarray:
     return _poly_to_bits(codeword, params.n)
 
 
-def _syndromes_int(params: BchParams, word: int):
-    """Power-sum syndromes S_1..S_2t of a received word (int encoding)."""
-    field = params._field
-    exp, n = field.exp, field.n
-    s = [0] * (2 * params.t)
-    w = word
-    while w:
-        low = w & -w
-        d = low.bit_length() - 1  # degree of this set bit
-        w ^= low
-        for j in range(2 * params.t):
-            s[j] ^= exp[((j + 1) * d) % n]
-    return s
-
-
-def _syndromes_np(params: BchParams, degrees: np.ndarray):
+def _syndromes(params: BchParams, noisy: np.ndarray):
+    """Power-sum syndromes S_1..S_2t of a received word."""
     field = params._field
     n = field.n
+    degrees = (n - 1 - np.nonzero(noisy)[0]).astype(np.int64)
     s = [0] * (2 * params.t)
     if degrees.size == 0:
         return s
@@ -352,26 +336,8 @@ def _berlekamp_massey(params: BchParams, synd):
     return c, L
 
 
-def _chien_int(params: BchParams, locator):
-    """Roots of the locator by exhaustive evaluation; returns error degrees."""
-    field = params._field
-    exp, log, n = field.exp, field.log, field.n
-    terms = list(locator)
-    steps = [log[cj] if cj else -1 for cj in locator]
-    degrees = []
-    for i in range(n):
-        v = 0
-        for t in terms:
-            v ^= t
-        if v == 0:
-            degrees.append((n - i) % n)
-        for j in range(1, len(terms)):
-            if terms[j]:
-                terms[j] = exp[log[terms[j]] + j]
-    return degrees
-
-
-def _chien_np(params: BchParams, locator):
+def _chien(params: BchParams, locator):
+    """Roots of the locator by evaluation at every field element; returns error degrees."""
     field = params._field
     n = field.n
     idx = np.arange(n, dtype=np.int64)
@@ -396,32 +362,22 @@ def decode(params: BchParams, noisy) -> tuple[np.ndarray, int] | None:
     if np.any(noisy > 1):
         raise ValueError("received word must be binary")
 
-    vector = params.n >= _VECTOR_MIN_LEN
-    if vector:
-        degrees = (params.n - 1 - np.nonzero(noisy)[0]).astype(np.int64)
-        synd = _syndromes_np(params, degrees)
-    else:
-        word = _bits_to_poly(noisy)
-        synd = _syndromes_int(params, word)
-
+    synd = _syndromes(params, noisy)
     if not any(synd):
         return noisy[: params.k].copy(), 0
 
     locator, n_err = _berlekamp_massey(params, synd)
     if n_err > params.t or _deg_list(locator) != n_err:
         return None
-    error_degrees = _chien_np(params, locator) if vector else _chien_int(params, locator)
+    error_degrees = _chien(params, locator)
     if len(error_degrees) != n_err:
         return None
 
     corrected = noisy.copy()
     for d in error_degrees:
         corrected[params.n - 1 - d] ^= 1
-    if vector:
-        # cheap consistency check on the long path
-        degrees = (params.n - 1 - np.nonzero(corrected)[0]).astype(np.int64)
-        if any(_syndromes_np(params, degrees)):
-            return None
+    if any(_syndromes(params, corrected)):
+        return None
     return corrected[: params.k], n_err
 
 

@@ -87,8 +87,9 @@ class DistanceReport:
         values = np.asarray(values, dtype=np.float64).ravel()
         if values.size == 0:
             raise ValueError("empty sample")
-        edges = _fd_edges(values) if bins == "auto" else np.histogram_bin_edges(values, bins)
-        counts, edges = np.histogram(values, bins=edges)
+        if bins == "auto":
+            bins = _edges(values, _fd_bin_width(values))
+        counts, edges = np.histogram(values, bins=bins)
         return cls(kind, metric, values, edges, counts)
 
     @property
@@ -117,17 +118,22 @@ class DistanceReport:
             fh.write(self.to_tsv())
 
 
-def _fd_edges(values: np.ndarray) -> np.ndarray:
-    # Freedman-Diaconis, with a sane fallback for degenerate spreads
-    edges = np.histogram_bin_edges(values, bins="fd")
-    if edges.size < 2:
-        edges = np.histogram_bin_edges(values, bins=1)
-    return edges
+# 4096 bins resolve any distance data we emit; the cap keeps a near-zero
+# spread next to a wide range from asking for an astronomical grid
+_MAX_BINS = 4096
 
 
-def _fd_width(values: np.ndarray) -> float:
-    edges = _fd_edges(values)
-    return float(edges[1] - edges[0])
+def _fd_bin_width(values: np.ndarray) -> float:
+    """Freedman-Diaconis width 2 IQR / n^(1/3), or the whole range if the IQR is 0."""
+    q25, q75 = np.percentile(values, [25, 75])
+    width = 2.0 * float(q75 - q25) / np.cbrt(values.size)
+    return width if width > 0 else float(np.ptp(values))
+
+
+def _edges(values: np.ndarray, width: float) -> np.ndarray:
+    """Equal-width edges spanning the sample, one bin if width is 0, at most ``_MAX_BINS``."""
+    nbins = int(np.ceil(min(np.ptp(values) / width, _MAX_BINS))) if width > 0 else 1
+    return np.histogram_bin_edges(values, bins=nbins)
 
 
 def overlap(report_a: DistanceReport, report_b: DistanceReport) -> float:
@@ -148,15 +154,14 @@ def overlap(report_a: DistanceReport, report_b: DistanceReport) -> float:
     ):
         edges = report_a.bin_edges
     else:
-        lo = min(report_a.values.min(), report_b.values.min())
-        hi = max(report_a.values.max(), report_b.values.max())
-        width = min(_fd_width(report_a.values), _fd_width(report_b.values))
-        if hi == lo:
+        pooled = np.concatenate([report_a.values, report_b.values])
+        if np.ptp(pooled) == 0:
             return 1.0
-        # cap keeps pathological widths (near-constant samples) from
-        # exploding the grid; 4096 bins resolve any distance data we emit
-        nbins = int(np.clip(np.ceil((hi - lo) / width), 1, 4096))
-        edges = np.linspace(lo, hi, nbins + 1)
+        # a constant sample has width 0 and no spread to offer; two distinct
+        # constants get the finest grid
+        widths = [_fd_bin_width(r.values) for r in (report_a, report_b)]
+        width = min((w for w in widths if w > 0), default=np.ptp(pooled) / _MAX_BINS)
+        edges = _edges(pooled, width)
     pa, _ = np.histogram(report_a.values, bins=edges)
     pb, _ = np.histogram(report_b.values, bins=edges)
     pa = pa / report_a.count

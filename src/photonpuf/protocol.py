@@ -14,6 +14,7 @@ offset is a one-time-pad style mask and the digest is SHA-256.
 from __future__ import annotations
 
 import hashlib
+import hmac
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,7 +31,6 @@ __all__ = [
     "recover_key",
     "verify",
     "key_digest",
-    "framed_key",
     "record_to_bytes",
     "record_from_bytes",
     "save_record",
@@ -72,15 +72,6 @@ class EnrollmentRecord:
 def key_digest(key: BitKey) -> bytes:
     """SHA-256 over the length-prefixed packed key bits."""
     return hashlib.sha256(key.to_bytes()).digest()
-
-
-def framed_key(key: BitKey, frame_len: int) -> BitKey:
-    """Pad a key with deterministic zero bits up to a framing boundary."""
-    if frame_len < key.key_len:
-        raise ValueError("frame shorter than key")
-    out = np.zeros(frame_len, dtype=np.uint8)
-    out[: key.key_len] = key.bits
-    return BitKey(out)
 
 
 def enroll(image, hash_cfg: HashConfig, bch_params: bch.BchParams, rng_seed: int,
@@ -136,10 +127,14 @@ def authenticate(image, record: EnrollmentRecord) -> tuple[BitKey, int] | None:
 
 
 def verify(key: BitKey, record: EnrollmentRecord) -> bool:
-    """Accept iff the digest of the recovered key matches the record."""
+    """Accept iff the digest of the recovered key matches the record.
+
+    The comparison runs in constant time, so its duration does not reveal
+    how long a prefix of the stored digest a guess matched.
+    """
     if record.digest_algo != DIGEST_SHA256:
         raise ValueError(f"unsupported digest algo {record.digest_algo}")
-    return key_digest(key) == record.key_digest
+    return hmac.compare_digest(key_digest(key), record.key_digest)
 
 
 # ----------------------------------------------------------------------

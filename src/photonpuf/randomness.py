@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import erfc, gammaincc, ndtr
 
 from ._binio import le, pack_bits, unpack_bits
-from .hashing import HashConfig, standardize
+from .hashing import HashConfig, _as_pixels, standardize
 
 __all__ = [
     "BitStream",
@@ -75,12 +75,6 @@ class BitStream:
 
 
 _TAG_EXTRACT = 0xEB17
-
-
-def _as_pixels(image) -> np.ndarray:
-    if hasattr(image, "as_float"):
-        return image.as_float()
-    return np.asarray(image, dtype=np.float64)
 
 
 def extract_bits(images, cfg: HashConfig, bits_per_image: int | None = None) -> BitStream:

@@ -171,7 +171,6 @@ class PufService:
         self.noise = noise if noise is not None else NoiseParams()
         self._rng_seed = int(rng_seed)
         self._tokens: dict[bytes, TokenModel] = {}
-        self._enroll_locks: dict[bytes, threading.Lock] = {}
         self._guard = threading.Lock()
         self._counter = itertools.count(1)
 
@@ -179,7 +178,6 @@ class PufService:
         tid = token_id(token)
         with self._guard:
             self._tokens[tid] = token
-            self._enroll_locks.setdefault(tid, threading.Lock())
         return tid
 
     def token_ids(self) -> list:
@@ -224,21 +222,19 @@ class PufService:
             raise ValueError("enroll needs a challenge descriptor")
         with self._guard:
             token = self._tokens.get(tid)
-            lock = self._enroll_locks.setdefault(tid, threading.Lock())
         if token is None:
             raise KeyError(tid.hex())
-        with lock:
-            image = respond(token, challenge, noise=self._fresh_noise())
-            cfg = dataclasses.replace(self.hash_cfg, rng_seed=self._next())
-            _, record = enroll(
-                image,
-                cfg,
-                self.bch_params,
-                rng_seed=self._next(),
-                token_id=tid,
-                challenge=challenge,
-            )
-            self.store.save(record)
+        image = respond(token, challenge, noise=self._fresh_noise())
+        cfg = dataclasses.replace(self.hash_cfg, rng_seed=self._next())
+        _, record = enroll(
+            image,
+            cfg,
+            self.bch_params,
+            rng_seed=self._next(),
+            token_id=tid,
+            challenge=challenge,
+        )
+        self.store.save(record)
         return bytes([OP_RESULT, OP_ENROLL]) + record.record_id + record.key_digest
 
     def _handle_auth(self, payload: bytes) -> bytes:

@@ -15,16 +15,17 @@ occasionally translates the whole frame by roughly one resonant amplitude
 in a random direction (sub-pixel offsets included).
 
 Wavelength is a second challenge axis: the per-pixel field evolves with
-wavelength as a stationary Gauss-Markov process, realized exactly on a
-dyadic grid by seeded bridge bisection between knot tensors spaced at a
-quarter of the decorrelation length. Any two responses along the axis then
-have field correlation exactly exponential in their separation.
+wavelength as a stationary Gauss-Markov (Ornstein-Uhlenbeck) process,
+realized exactly on a dyadic grid over the whole tuning window by seeded
+bridge bisection from the two window ends. Any two responses along the axis
+then have field correlation exactly exponential in their separation, and a
+query costs one seeded draw per level with no state kept between queries.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -75,12 +76,12 @@ DEFAULT_GRAIN_PX = 1.5
 _HEADROOM = 4.0
 
 _TAG_FIELD = 0x1A57
-_TAG_WAVELENGTH = 0x57A4
 _TAG_WL_BRIDGE = 0x5B1D6E
 _TAG_NOISE = 0x401E
 
-# dyadic subdivisions per knot interval; wavelength queries snap to this grid
-_BRIDGE_STEPS = 1 << 10
+# wavelength queries snap to a dyadic grid over the tuning window that is at
+# least this many times finer than the decorrelation length
+_BRIDGE_RESOLUTION = 4096
 
 _MAGIC_TOKEN = b"PUFT"
 _TOKEN_VERSION = 1
@@ -186,8 +187,8 @@ class TokenModel:
 
     The tensor is fully determined by (token_seed, kind, grid_dims, out_dims);
     two constructions from the same parameters are identical. Instances are
-    immutable apart from an internal wavelength-knot cache and safe to share
-    across threads.
+    immutable (every query is a pure function of the descriptor) and safe to
+    share across threads.
     """
 
     def __init__(self, token_seed, kind, grid_dims, out_dims,
@@ -223,9 +224,16 @@ class TokenModel:
         ) / np.sqrt(2.0)
         self.field_tensor.flags.writeable = False
 
-        self._wl_lock = threading.Lock()
-        self._wl_knots: dict[int, np.ndarray] = {}
-        self._grain_kernel = None
+        # gaussian transfer function of the speckle grain, unit mean power
+        self.grain_kernel = None
+        if self.speckle_grain > 0:
+            fy = np.fft.fftfreq(out_dims[0])
+            fx = np.fft.fftfreq(out_dims[1])
+            h = np.exp(-2.0 * np.pi ** 2 * self.speckle_grain ** 2
+                       * (fy[:, None] ** 2 + fx[None, :] ** 2))
+            h /= np.sqrt(np.mean(h ** 2))
+            h.flags.writeable = False
+            self.grain_kernel = h
 
     def __repr__(self):
         return (
@@ -248,95 +256,6 @@ class TokenModel:
             self.wl_decorrelation_length,
             self.speckle_grain,
         )
-
-    # -- wavelength knot process ------------------------------------
-
-    def _innovation(self, index: int) -> np.ndarray:
-        n_out = self.out_dims[0] * self.out_dims[1]
-        rng = np.random.default_rng(
-            np.random.SeedSequence(
-                [self.token_seed, _KIND_CODE[self.kind], *self.out_dims,
-                 _TAG_WAVELENGTH, index]
-            )
-        )
-        return (rng.standard_normal(n_out) + 1j * rng.standard_normal(n_out)) / np.sqrt(2.0)
-
-    def _knot(self, index: int) -> np.ndarray:
-        """Knot tensor K_index of the stationary AR(1) chain along wavelength."""
-        rho = np.exp(-0.25)
-        scale = np.sqrt(1.0 - rho * rho)
-        with self._wl_lock:
-            if index in self._wl_knots:
-                return self._wl_knots[index]
-            start = max((i for i in self._wl_knots if i <= index), default=None)
-            if start is None:
-                cur = self._innovation(0)
-                self._wl_knots[0] = cur
-                start = 0
-            else:
-                cur = self._wl_knots[start]
-            for j in range(start + 1, index + 1):
-                cur = rho * cur + scale * self._innovation(j)
-            self._wl_knots[index] = cur
-            if len(self._wl_knots) > 8:
-                for i in sorted(self._wl_knots):
-                    if i not in (0, index):
-                        del self._wl_knots[i]
-                        break
-            return cur
-
-    def _bridge_innovation(self, interval: int, depth: int, numerator: int) -> np.ndarray:
-        n_out = self.out_dims[0] * self.out_dims[1]
-        rng = np.random.default_rng(
-            np.random.SeedSequence(
-                [self.token_seed, _KIND_CODE[self.kind], *self.out_dims,
-                 _TAG_WL_BRIDGE, interval, depth, numerator]
-            )
-        )
-        return (rng.standard_normal(n_out) + 1j * rng.standard_normal(n_out)) / np.sqrt(2.0)
-
-    def _bridge_point(self, interval: int, numerator: int) -> np.ndarray:
-        """Field at dyadic position numerator/_BRIDGE_STEPS inside an interval.
-
-        Bisects the knot interval, conditionally sampling each midpoint from
-        its segment endpoints with a seeded residual. The Markov property
-        makes the refinement exact: every finite set of dyadic positions
-        carries exactly the exponential covariance, and revisiting a position
-        reproduces the same field.
-        """
-        lo, hi = 0, _BRIDGE_STEPS
-        e_lo, e_hi = self._knot(interval), self._knot(interval + 1)
-        depth = 1
-        while True:
-            mid = (lo + hi) // 2
-            # half-segment correlation; interval length is L/4, so a whole
-            # segment of (hi - lo) steps spans 0.25 (hi - lo) / steps in
-            # units of the decorrelation length
-            rho = np.exp(-0.125 * (hi - lo) / _BRIDGE_STEPS)
-            coef = rho / (1.0 + rho * rho)
-            sigma = np.sqrt((1.0 - rho * rho) / (1.0 + rho * rho))
-            e_mid = coef * (e_lo + e_hi) + sigma * self._bridge_innovation(
-                interval, depth, mid)
-            if mid == numerator:
-                return e_mid
-            if numerator < mid:
-                hi, e_hi = mid, e_mid
-            else:
-                lo, e_lo = mid, e_mid
-            depth += 1
-
-    def _grain(self) -> np.ndarray | None:
-        if self.speckle_grain <= 0:
-            return None
-        if self._grain_kernel is None:
-            fy = np.fft.fftfreq(self.out_dims[0])
-            fx = np.fft.fftfreq(self.out_dims[1])
-            h = np.exp(
-                -2.0 * np.pi ** 2 * self.speckle_grain ** 2
-                * (fy[:, None] ** 2 + fx[None, :] ** 2)
-            )
-            self._grain_kernel = h / np.sqrt(np.mean(h ** 2))
-        return self._grain_kernel
 
 
 def new_token(token_seed, kind="diffuser", grid_dims=(16, 16), out_dims=(128, 128),
@@ -377,28 +296,62 @@ def pattern_field(token: TokenModel, challenge: PixelPattern) -> np.ndarray:
     return field.reshape(token.out_dims)
 
 
+def _bridge_levels(decorrelation_pm: float) -> int:
+    """Bisection depth whose grid step over the window is at most L/4096."""
+    width_pm = (TUNING_RANGE_NM[1] - TUNING_RANGE_NM[0]) * 1000.0
+    return max(0, math.ceil(math.log2(width_pm * _BRIDGE_RESOLUTION / decorrelation_pm)))
+
+
+def _bridge_innovation(token: TokenModel, depth: int, index: int) -> np.ndarray:
+    n_out = token.out_dims[0] * token.out_dims[1]
+    rng = np.random.default_rng(
+        np.random.SeedSequence(
+            [token.token_seed, _KIND_CODE[token.kind], *token.out_dims,
+             _TAG_WL_BRIDGE, depth, index]
+        )
+    )
+    # interleaved (real, imag) pairs: one draw, no complex temporaries
+    return rng.standard_normal(2 * n_out).view(np.complex128) * np.sqrt(0.5)
+
+
 def wavelength_field(token: TokenModel, challenge: Wavelength) -> np.ndarray:
     """Noise-free complex field for a spectral challenge.
 
     The correlation between fields at two wavelengths decays as
     ``exp(-delta / wl_decorrelation_length)`` with delta in picometers.
-    Wavelengths snap to a dyadic grid of the knot spacing over
-    ``_BRIDGE_STEPS``, far below one picometer at the default lengths.
+    Wavelengths snap to a dyadic grid over the tuning window whose step is
+    at most 1/4096 of the decorrelation length.
+
+    The two window ends, T = 30 nm apart, are drawn jointly with correlation
+    ``exp(-T / L)``; bisection toward the target then samples each midpoint from its segment
+    ends with a seeded residual. The Markov property makes the refinement
+    exact: every finite set of grid points carries exactly the exponential
+    covariance, and revisiting a point reproduces the same field.
     """
     if not isinstance(challenge, Wavelength):
         challenge = Wavelength(float(challenge))
-    spacing = token.wl_decorrelation_length / 4.0
-    offset_pm = (challenge.lambda_nm - TUNING_RANGE_NM[0]) * 1000.0
-    pos = offset_pm / spacing
-    k = int(np.floor(pos))
-    numerator = int(round((pos - k) * _BRIDGE_STEPS))
-    if numerator == _BRIDGE_STEPS:
-        k += 1
-        numerator = 0
-    if numerator == 0:
-        field = token._knot(k)
-    else:
-        field = token._bridge_point(k, numerator)
+    lo_nm, hi_nm = TUNING_RANGE_NM
+    length = token.wl_decorrelation_length
+    steps = 1 << _bridge_levels(length)
+    step_pm = (hi_nm - lo_nm) * 1000.0 / steps
+    target = int(round((challenge.lambda_nm - lo_nm) * 1000.0 / step_pm))
+    rho = np.exp(-steps * step_pm / length)
+    lo, hi = 0, steps
+    e_lo = _bridge_innovation(token, 0, 0)
+    e_hi = rho * e_lo + np.sqrt(1.0 - rho * rho) * _bridge_innovation(token, 0, 1)
+    depth = 1
+    while target not in (lo, hi):
+        mid = (lo + hi) // 2
+        rho = np.exp(-(mid - lo) * step_pm / length)  # half-segment correlation
+        coef = rho / (1.0 + rho * rho)
+        sigma = np.sqrt((1.0 - rho * rho) / (1.0 + rho * rho))
+        e_mid = coef * (e_lo + e_hi) + sigma * _bridge_innovation(token, depth, mid)
+        if target < mid:
+            hi, e_hi = mid, e_mid
+        else:
+            lo, e_lo = mid, e_mid
+        depth += 1
+    field = e_lo if target == lo else e_hi
     return field.reshape(token.out_dims)
 
 
@@ -418,9 +371,8 @@ def _translate(img: np.ndarray, dr: float, dc: float) -> np.ndarray:
 def _capture(token: TokenModel, field: np.ndarray, mean_intensity: float,
              noise: NoiseParams, bit_depth: int, rng) -> SpeckleImage:
     """Shared back end: grain, intensity, additive noise, quantization."""
-    kernel = token._grain()
-    if kernel is not None:
-        field = np.fft.ifft2(np.fft.fft2(field) * kernel)
+    if token.grain_kernel is not None:
+        field = np.fft.ifft2(np.fft.fft2(field) * token.grain_kernel)
     intensity = np.abs(field) ** 2
     qmax = (1 << bit_depth) - 1
     img = intensity * (qmax / (_HEADROOM * mean_intensity))

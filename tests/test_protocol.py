@@ -16,7 +16,6 @@ from photonpuf.hashing import BitKey, HashConfig, rbm_hash
 from photonpuf.protocol import (
     authenticate,
     enroll,
-    framed_key,
     key_digest,
     load_record,
     record_from_bytes,
@@ -148,16 +147,6 @@ def test_key_digest_is_sha256_of_wire_form():
     import hashlib
     key = BitKey([1, 0, 1, 1, 0, 0, 1])
     assert key_digest(key) == hashlib.sha256(key.to_bytes()).digest()
-
-
-def test_framed_key_pads_with_zeros():
-    key = BitKey([1, 1, 0])
-    framed = framed_key(key, 8)
-    assert framed.key_len == 8
-    assert framed.bits[:3].tolist() == [1, 1, 0]
-    assert not framed.bits[3:].any()
-    with pytest.raises(ValueError):
-        framed_key(key, 2)
 
 
 # ---------------------------------------------------------------- container

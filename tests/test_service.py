@@ -6,6 +6,7 @@ never dropped, and never kills the server.
 """
 
 import struct
+import sys
 import threading
 import time
 
@@ -286,3 +287,32 @@ def test_concurrent_auths_agree(server):
         t.join(timeout=10)
     assert len(outcomes) == 6
     assert all(outcomes)
+
+
+def test_concurrent_enrolls_on_one_token(server):
+    srv, service, tid = server
+    rids = []
+    lock = threading.Lock()
+
+    def worker(seed):
+        with ServiceClient(srv.server_address) as c:
+            rid, _ = c.enroll(tid, chal_blob(seed))
+            with lock:
+                rids.append(rid)
+
+    threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the enrolls as finely as possible
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=10)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(rids) == 6
+    assert len(set(rids)) == 6
+    assert sorted(service.store.ids()) == sorted(rids)  # one .pufr file per record
+    with ServiceClient(srv.server_address) as c:
+        assert all(c.auth(rid)[0] for rid in rids)

@@ -346,6 +346,44 @@ def test_respond_dispatches_wavelength():
     assert np.array_equal(a.pixels, b.pixels)
 
 
+@pytest.mark.parametrize("lo_nm, hi_nm", [(1540.0, 1570.0), (1545.0, 1565.0)])
+def test_wavelength_decorrelation_spans_the_window(lo_nm, hi_nm):
+    # the two window ends are drawn jointly, so even 30 nm apart the
+    # intensity correlation stays exp(-2 Dl / L)
+    L = 30000.0
+    t = tok.new_token(35, kind="diffuser", grid_dims=(8, 8), out_dims=(128, 128),
+                      wl_decorrelation_length=L, speckle_grain=0.0)
+    a, b = (tok.wavelength_response(t, tok.Wavelength(wl), noise=tok.NoiseParams.none())
+            for wl in (lo_nm, hi_nm))
+    expected = math.exp(-2.0 * (hi_nm - lo_nm) * 1000.0 / L)
+    assert abs(metrics.cross_correlation(a.as_float(), b.as_float()) - expected) < 0.05
+
+
+@pytest.mark.parametrize("kind, levels", [("pof", 20), ("diffuser", 16)])
+def test_wavelength_grid_at_least_as_fine_as_l_over_4096(kind, levels):
+    L = tok.DEFAULT_DECORRELATION_PM[kind]
+    width_pm = (tok.TUNING_RANGE_NM[1] - tok.TUNING_RANGE_NM[0]) * 1000.0
+    assert tok._bridge_levels(L) == levels
+    assert width_pm / 2 ** levels <= L / 4096
+
+
+def test_token_queries_leave_no_state():
+    # fields are a pure function of the descriptor: query order, and which of
+    # two equal instances answers, make no difference
+    t1, t2 = (tok.new_token(36, kind="pof", grid_dims=(8, 8), out_dims=(32, 32),
+                            speckle_grain=1.5) for _ in range(2))
+    before = dict(vars(t1))
+    wls = [tok.Wavelength(x) for x in (1540.0, 1569.9, 1555.123, 1555.124, 1570.0)]
+    first = [tok.wavelength_field(t1, wl) for wl in wls]
+    second = [tok.wavelength_field(t2, wl) for wl in reversed(wls)][::-1]
+    for a, b in zip(first, second):
+        assert np.array_equal(a, b)
+    tok.respond(t1, tok.random_pattern(t1.grid_dims, 1), noise=tok.NoiseParams())
+    tok.respond(t1, wls[1], noise=tok.NoiseParams())
+    assert vars(t1).keys() == before.keys()
+    assert all(vars(t1)[k] is v for k, v in before.items())
+
+
 # ---------------------------------------------------------------- serialization
 
 def test_token_file_roundtrip(tmp_path):
