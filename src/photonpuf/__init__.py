@@ -51,7 +51,6 @@ from .token import (
     save_token,
     token_id,
     wavelength_field,
-    wavelength_response,
 )
 
 __version__ = "0.1.0"

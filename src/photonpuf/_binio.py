@@ -63,12 +63,6 @@ class Reader:
             raise UnsupportedVersionError(f"{what} container version {version} not supported")
         return version
 
-    def remaining(self) -> int:
-        return len(self._data) - self._pos
-
-    def done(self) -> bool:
-        return self._pos == len(self._data)
-
 
 def le(fmt: str, *vals) -> bytes:
     return struct.pack("<" + fmt, *vals)

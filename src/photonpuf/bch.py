@@ -1,10 +1,11 @@
 """Binary BCH error-correcting codes over GF(2^m).
 
-The codec is self-contained: GF(2)[x] arithmetic on python ints, log/antilog
-field tables, generator construction from minimal polynomials, systematic
-encoding, and syndrome decoding (Berlekamp-Massey plus Chien search). Long
-codes route the syndrome and root-search loops through numpy; short codes use
-a plain-int fast path so exhaustive sweeps stay cheap.
+The codec is self-contained: GF(2)[x] arithmetic on python ints builds the
+log/antilog field tables and the generator (from minimal polynomials), and
+encoding is systematic. Decoding computes the syndromes and runs the Chien
+root search with numpy over the field tables for every code length, with
+Berlekamp-Massey in between; a final syndrome check makes sure every
+corrected word is a codeword.
 
 Decode failure is a value (``None``), not an exception: callers in the
 authentication path treat it as a rejection, never as a crash.
@@ -116,6 +117,8 @@ class _Field:
         self.m = m
         self.n = (1 << m) - 1
         self.prim_poly = prim_poly
+        if prim_poly >> m != 1:
+            raise ValueError(f"0x{prim_poly:x} is not a polynomial of degree {m}")
         exp = [0] * (2 * self.n)
         log = [0] * (self.n + 1)
         x = 1

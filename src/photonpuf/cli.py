@@ -68,8 +68,6 @@ def _load_challenge(path: str):
 
 def _noise_flags(parser: argparse.ArgumentParser):
     g = parser.add_argument_group("capture noise")
-    g.add_argument("--noise", type=float, default=None, metavar="SIGMA",
-                   help="shorthand for --intensity-sigma")
     g.add_argument("--intensity-sigma", type=float, default=None)
     g.add_argument("--phase-sigma", type=float, default=None)
     g.add_argument("--delta-t", type=float, default=None, help="temperature offset, degC")
@@ -86,8 +84,6 @@ def _noise_from_args(args) -> NoiseParams:
         return NoiseParams.none()
     base = NoiseParams(noise_seed=args.noise_seed)
     updates = {}
-    if args.noise is not None:
-        updates["intensity_sigma"] = args.noise
     if args.intensity_sigma is not None:
         updates["intensity_sigma"] = args.intensity_sigma
     if args.phase_sigma is not None:
@@ -389,8 +385,7 @@ def _cmd_rng_test(args) -> int:
 def _cmd_serve(args) -> int:
     store = RecordStore(args.store)
     params = bch.bch_new(args.bch_m, args.bch_t)
-    service = PufService(store, bch_params=params, noise=_noise_from_args(args),
-                         rng_seed=args.seed)
+    service = PufService(store, bch_params=params, noise=_noise_from_args(args))
     for path in args.token:
         tid = service.add_token(load_token(path))
         _emit(("token_id", tid.hex()))
@@ -450,7 +445,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enroll.add_argument("--record", required=True)
     p_enroll.add_argument("--bch-m", type=int, default=8)
     p_enroll.add_argument("--bch-t", type=int, default=31)
-    p_enroll.add_argument("--seed", type=int, default=0)
+    p_enroll.add_argument("--seed", type=int, default=None,
+                          help="derive the secret and record id from this seed (testing only)")
     _hash_flags(p_enroll)
     _noise_flags(p_enroll)
     p_enroll.set_defaults(func=_cmd_enroll)
@@ -518,7 +514,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--store", required=True, help="record directory")
     p_serve.add_argument("--bch-m", type=int, default=8)
     p_serve.add_argument("--bch-t", type=int, default=31)
-    p_serve.add_argument("--seed", type=int, default=0)
     p_serve.add_argument("--frame-timeout", type=float, default=DEFAULT_FRAME_TIMEOUT)
     _noise_flags(p_serve)
     p_serve.set_defaults(func=_cmd_serve)

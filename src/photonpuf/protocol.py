@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import hmac
+import secrets
 from dataclasses import dataclass
 
 import numpy as np
@@ -74,22 +75,28 @@ def key_digest(key: BitKey) -> bytes:
     return hashlib.sha256(key.to_bytes()).digest()
 
 
-def enroll(image, hash_cfg: HashConfig, bch_params: bch.BchParams, rng_seed: int,
-           token_id: bytes = b"\x00" * 16, challenge: Challenge | None = None,
-           ) -> tuple[BitKey, EnrollmentRecord]:
+def enroll(image, hash_cfg: HashConfig, bch_params: bch.BchParams,
+           rng_seed: int | None = None, token_id: bytes = b"\x00" * 16,
+           challenge: Challenge | None = None) -> tuple[BitKey, EnrollmentRecord]:
     """Enroll one capture; returns the (secret) enrollment key and the record.
 
     The hash length must equal the code length so the code offset covers the
-    whole key. ``rng_seed`` drives the committed secret and the record id.
+    whole key. The committed secret and the record id come from the operating
+    system's CSPRNG, so public helper data never reveals how to rebuild them;
+    an explicit ``rng_seed`` derives both from the seed instead, for tests.
     """
     if hash_cfg.key_len != bch_params.n:
         raise ValueError(
             f"hash length {hash_cfg.key_len} must equal code length {bch_params.n}"
         )
     enroll_key, helper = hash_enroll(image, hash_cfg)
-    rng = np.random.default_rng(np.random.SeedSequence([int(rng_seed), _TAG_ENROLL]))
-    secret = rng.integers(0, 2, size=bch_params.k, dtype=np.uint8)
-    record_id = rng.bytes(16)
+    if rng_seed is None:
+        secret = unpack_bits(secrets.token_bytes(packed_size(bch_params.k)), bch_params.k)
+        record_id = secrets.token_bytes(16)
+    else:
+        rng = np.random.default_rng(np.random.SeedSequence([int(rng_seed), _TAG_ENROLL]))
+        secret = rng.integers(0, 2, size=bch_params.k, dtype=np.uint8)
+        record_id = rng.bytes(16)
     code_offset = enroll_key.bits ^ bch.encode(bch_params, secret)
     record = EnrollmentRecord(
         record_id=record_id,

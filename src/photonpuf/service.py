@@ -5,7 +5,10 @@ payload length followed by the payload, whose first byte is an opcode. The
 service owns the simulated scattering tokens (the prover side); clients only
 ever see record ids, verdicts, digests, and extracted bits, never raw
 speckle. Records are persisted as one file per record id in a plain
-directory.
+directory and are never overwritten. Committed secrets, record ids, hash
+helper seeds, capture noise seeds and random-bit challenges are all drawn
+fresh from the operating system's CSPRNG, so a restart neither reuses an id
+nor repeats random bits.
 
 A malformed or half-delivered frame gets an ERROR reply and the connection
 stays usable; framing keeps recovery trivial because the next length prefix
@@ -15,8 +18,8 @@ restarts the parse.
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import os
+import secrets
 import socket
 import socketserver
 import struct
@@ -127,11 +130,21 @@ class RecordStore:
         return os.path.join(self._dir, record_id.hex() + ".pufr")
 
     def save(self, record: EnrollmentRecord):
+        """Store a new record; raises ``FileExistsError`` if its id is taken.
+
+        The record is written to a temporary file first and then hard-linked
+        into place, so readers never see a partial file and an existing
+        record is never replaced.
+        """
         path = self._path(record.record_id)
         tmp = path + ".tmp"
         with self._lock:
-            save_record(record, tmp)
-            os.replace(tmp, path)
+            try:
+                save_record(record, tmp)
+                os.link(tmp, path)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
 
     def load(self, record_id: bytes) -> EnrollmentRecord:
         path = self._path(record_id)
@@ -159,20 +172,17 @@ class PufService:
         hash_cfg: HashConfig | None = None,
         bch_params=None,
         noise: NoiseParams | None = None,
-        rng_seed: int = 0,
     ):
         self.store = store
         self.bch_params = bch_params if bch_params is not None else bch.bch_new(8, 31)
         if hash_cfg is None:
-            hash_cfg = HashConfig(algo="rbm", key_len=self.bch_params.n, rng_seed=rng_seed)
+            hash_cfg = HashConfig(algo="rbm", key_len=self.bch_params.n)
         if hash_cfg.key_len != self.bch_params.n:
             raise ValueError("hash key length must equal the code length")
         self.hash_cfg = hash_cfg
         self.noise = noise if noise is not None else NoiseParams()
-        self._rng_seed = int(rng_seed)
         self._tokens: dict[bytes, TokenModel] = {}
         self._guard = threading.Lock()
-        self._counter = itertools.count(1)
 
     def add_token(self, token: TokenModel) -> bytes:
         tid = token_id(token)
@@ -180,16 +190,8 @@ class PufService:
             self._tokens[tid] = token
         return tid
 
-    def token_ids(self) -> list:
-        with self._guard:
-            return sorted(self._tokens)
-
-    def _next(self) -> int:
-        with self._guard:
-            return next(self._counter)
-
     def _fresh_noise(self) -> NoiseParams:
-        return self.noise.with_seed(self._rng_seed * 1_000_003 + self._next())
+        return self.noise.with_seed(secrets.randbits(64))
 
     # -- opcode handlers -------------------------------------------------
 
@@ -225,15 +227,8 @@ class PufService:
         if token is None:
             raise KeyError(tid.hex())
         image = respond(token, challenge, noise=self._fresh_noise())
-        cfg = dataclasses.replace(self.hash_cfg, rng_seed=self._next())
-        _, record = enroll(
-            image,
-            cfg,
-            self.bch_params,
-            rng_seed=self._next(),
-            token_id=tid,
-            challenge=challenge,
-        )
+        cfg = dataclasses.replace(self.hash_cfg, rng_seed=secrets.randbits(64))
+        _, record = enroll(image, cfg, self.bch_params, token_id=tid, challenge=challenge)
         self.store.save(record)
         return bytes([OP_RESULT, OP_ENROLL]) + record.record_id + record.key_digest
 
@@ -266,11 +261,11 @@ class PufService:
             tid = sorted(self._tokens)[0]
             token = self._tokens[tid]
         per_image = min(2000, token.out_dims[0] * token.out_dims[1] // 2 - 1)
-        cfg = HashConfig(algo="rbm", key_len=per_image, rng_seed=self._rng_seed)
+        cfg = HashConfig(algo="rbm", key_len=per_image)
         images = []
         need = -(-n_bits // per_image)
         for _ in range(need):
-            pattern = random_pattern(token.grid_dims, self._next())
+            pattern = random_pattern(token.grid_dims, secrets.randbits(64))
             images.append(respond(token, pattern, noise=self._fresh_noise()))
         stream = extract_bits(images, cfg)
         bits = stream.bits[:n_bits]

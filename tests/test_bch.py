@@ -6,6 +6,8 @@ of GF(2)[x] products and cyclotomic coset sizes), not from the module under
 test.
 """
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -335,6 +337,16 @@ def test_params_truncated():
     blob = bch.params_to_bytes(bch.bch_new(4, 1))
     with pytest.raises(TruncatedError):
         bch.params_from_bytes(blob[:-2])
+
+
+@pytest.mark.parametrize("prim", [3, 0, 0x11D | 1 << 20])
+def test_params_wrong_degree_primitive_rejected(prim):
+    # a stored primitive polynomial whose degree is not m must fail as a
+    # format problem, not index past the field tables
+    blob = bytearray(bch.params_to_bytes(bch.bch_new(8, 4)))
+    blob[9:13] = struct.pack("<I", prim)    # after magic, version, m and t
+    with pytest.raises(ValueError):
+        bch.params_from_bytes(bytes(blob))
 
 
 def test_params_file_roundtrip(tmp_path):

@@ -147,6 +147,17 @@ def test_enroll_auth_accepts_same_token(workdir, tmp_path, capsys):
     assert int(kv["corrected"]) <= 31
 
 
+def test_enroll_without_seed_draws_fresh_records(workdir, tmp_path, capsys):
+    ids = []
+    for name in ("a.pufr", "b.pufr"):
+        code, kv, _ = run_cli(capsys, "enroll", "--token", str(workdir / "tok.puft"),
+                              "--challenge", str(workdir / "c.chal"),
+                              "--record", str(tmp_path / name), "--no-noise")
+        assert code == 0
+        ids.append(kv["record_id"])
+    assert ids[0] != ids[1]
+
+
 def test_auth_rejects_different_token(workdir, tmp_path, capsys):
     record = tmp_path / "rec.pufr"
     assert main(["enroll", "--token", str(workdir / "tok.puft"),

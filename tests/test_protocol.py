@@ -67,6 +67,15 @@ def test_enroll_deterministic_in_seed():
     assert r1.record_id != r3.record_id
 
 
+def test_enroll_without_seed_is_fresh():
+    img = fresh_image(np.random.default_rng(4))
+    k1, r1 = enroll(img, CFG15, PARAMS15)
+    k2, r2 = enroll(img, CFG15, PARAMS15)
+    assert k1 == k2
+    assert r1.record_id != r2.record_id
+    assert verify(k1, r1) and verify(k2, r2)
+
+
 def test_enroll_length_mismatch_rejected():
     with pytest.raises(ValueError):
         enroll(fresh_image(), HashConfig(algo="rbm", key_len=31), PARAMS15, rng_seed=0)

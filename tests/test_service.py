@@ -5,6 +5,8 @@ and the same connection keeps serving; every malformed payload is answered,
 never dropped, and never kills the server.
 """
 
+import itertools
+import os
 import struct
 import sys
 import threading
@@ -15,9 +17,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photonpuf import bch, errors, service as svc
-from photonpuf.hashing import HashConfig
-from photonpuf.protocol import enroll
+from photonpuf import bch, errors, protocol, service as svc
+from photonpuf.hashing import BitKey, HashConfig
+from photonpuf.protocol import enroll, key_digest
 from photonpuf.service import (
     ERR_BAD_FRAME,
     ERR_INTERNAL,
@@ -54,6 +56,30 @@ def make_service(tmp_path, **kw):
 
 def chal_blob(seed=3):
     return challenge_to_bytes(random_pattern((8, 8), seed))
+
+
+class CountingEntropy:
+    """Stands in for ``secrets`` inside the service: seeds 1, 2, 3, ...
+
+    The service draws its capture-noise, hash and pattern seeds from the OS,
+    and the small BCH(15, 5, t=3) test code refuses about 1% of genuine
+    auths under fresh default noise. Tests that assert an accept replay one
+    fixed seed sequence instead; the committed secret and the record id
+    still come from the OS.
+    """
+
+    def __init__(self):
+        self._count = itertools.count(1)
+        self._lock = threading.Lock()
+
+    def randbits(self, k):
+        with self._lock:
+            return next(self._count)
+
+
+@pytest.fixture()
+def counted_entropy(monkeypatch):
+    monkeypatch.setattr(svc, "secrets", CountingEntropy())
 
 
 # ---------------------------------------------------------------- frame codec
@@ -116,9 +142,26 @@ def test_record_store_roundtrip(tmp_path):
         store.load(b"\x99" * 16)
 
 
+def test_record_store_refuses_overwrite(tmp_path):
+    store = RecordStore(tmp_path / "records")
+    cfg, params = HashConfig(algo="rbm", key_len=15), bch.bch_new(4, 3)
+    rng = np.random.default_rng(0)
+    # one seed, two captures: the same record id with different contents
+    _, first = enroll(rng.exponential(size=(16, 16)), cfg, params, rng_seed=1)
+    _, second = enroll(rng.exponential(size=(16, 16)), cfg, params, rng_seed=1)
+    assert first.record_id == second.record_id
+    store.save(first)
+    path = tmp_path / "records" / (first.record_id.hex() + ".pufr")
+    before = path.read_bytes()
+    with pytest.raises(FileExistsError):
+        store.save(second)
+    assert path.read_bytes() == before
+    assert os.listdir(tmp_path / "records") == [path.name]
+
+
 # ---------------------------------------------------------------- payload handling
 
-def test_enroll_then_auth_in_process(tmp_path):
+def test_enroll_then_auth_in_process(tmp_path, counted_entropy):
     service, tid = make_service(tmp_path)
     blob = chal_blob()
     reply = service.handle_payload(bytes([OP_ENROLL]) + tid + le("I", len(blob)) + blob)
@@ -142,6 +185,44 @@ def test_two_enrollments_get_distinct_records(tmp_path):
     r2 = service.handle_payload(msg)
     assert r1[2:18] != r2[2:18]
     assert len(service.store.ids()) == 2
+
+
+def enroll_msg(tid, blob):
+    return bytes([OP_ENROLL]) + tid + le("I", len(blob)) + blob
+
+
+def test_public_record_does_not_reveal_the_key(tmp_path):
+    # guess the small seeds a request counter would hand out, rebuild the
+    # committed secret from each, strip the code offset and check the digest
+    service = PufService(RecordStore(tmp_path / "records"), bch_params=bch.bch_new(8, 31))
+    tid = service.add_token(new_token(1, grid_dims=(8, 8), out_dims=(32, 32)))
+    reply = service.handle_payload(enroll_msg(tid, chal_blob()))
+    record = service.store.load(reply[2:18])
+    params = record.bch_params
+    for guess in range(1, 10):
+        rng = np.random.default_rng(np.random.SeedSequence([guess, protocol._TAG_ENROLL]))
+        secret = rng.integers(0, 2, size=params.k, dtype=np.uint8)
+        key = BitKey(record.code_offset ^ bch.encode(params, secret))
+        assert key_digest(key) != record.key_digest
+
+
+def test_restarted_service_keeps_existing_records(tmp_path):
+    # two services over one store directory stand for a restart
+    rids = []
+    for _ in range(2):
+        service, tid = make_service(tmp_path)
+        reply = service.handle_payload(enroll_msg(tid, chal_blob()))
+        assert reply[:2] == bytes([OP_RESULT, OP_ENROLL])
+        rids.append(reply[2:18])
+    assert rids[0] != rids[1]
+    assert sorted(RecordStore(tmp_path / "records").ids()) == sorted(rids)
+
+
+def test_restarted_service_draws_fresh_random_bits(tmp_path):
+    replies = [make_service(tmp_path / str(i))[0].handle_payload(bytes([OP_RANDOM]) + le("I", 64))
+               for i in range(2)]
+    assert all(r[:2] == bytes([OP_RESULT, OP_RANDOM]) for r in replies)
+    assert replies[0] != replies[1]
 
 
 def test_unknown_ids_not_found(tmp_path):
@@ -206,7 +287,7 @@ def test_service_validates_key_length(tmp_path):
 # ---------------------------------------------------------------- loopback TCP
 
 @pytest.fixture()
-def server(tmp_path):
+def server(tmp_path, counted_entropy):
     service, tid = make_service(tmp_path)
     srv = PufServer(("127.0.0.1", 0), service, frame_timeout=0.3)
     thread = threading.Thread(target=srv.serve_forever, daemon=True)

@@ -294,10 +294,10 @@ def test_wavelength_decorrelation_matches_exponential():
     L = 500.0
     t = tok.new_token(31, kind="pof", grid_dims=(8, 8), out_dims=(128, 128),
                       wl_decorrelation_length=L, speckle_grain=0.0)
-    base = tok.wavelength_response(t, tok.Wavelength(1540.0),
-                                   noise=tok.NoiseParams.none()).as_float()
+    base = tok.respond(t, tok.Wavelength(1540.0),
+                      noise=tok.NoiseParams.none()).as_float()
     for delta_pm in (50.0, 125.0, 400.0):
-        img = tok.wavelength_response(
+        img = tok.respond(
             t, tok.Wavelength(1540.0 + delta_pm / 1000.0),
             noise=tok.NoiseParams.none()).as_float()
         expected = math.exp(-2.0 * delta_pm / L)
@@ -307,11 +307,11 @@ def test_wavelength_decorrelation_matches_exponential():
 def test_wavelength_correlation_monotone_in_separation():
     t = tok.new_token(32, kind="pof", grid_dims=(8, 8), out_dims=(64, 64),
                       wl_decorrelation_length=300.0, speckle_grain=0.0)
-    base = tok.wavelength_response(t, tok.Wavelength(1541.0),
-                                   noise=tok.NoiseParams.none()).as_float()
+    base = tok.respond(t, tok.Wavelength(1541.0),
+                      noise=tok.NoiseParams.none()).as_float()
     ccs = []
     for delta_pm in (0.0, 40.0, 90.0, 200.0, 500.0):
-        img = tok.wavelength_response(
+        img = tok.respond(
             t, tok.Wavelength(1541.0 + delta_pm / 1000.0),
             noise=tok.NoiseParams.none()).as_float()
         ccs.append(metrics.cross_correlation(base, img))
@@ -322,10 +322,10 @@ def test_wavelength_correlation_monotone_in_separation():
 def test_wavelength_response_deterministic_and_cached():
     t = tok.new_token(33, kind="pof", grid_dims=(8, 8), out_dims=(32, 32))
     wl = tok.Wavelength(1555.123)
-    a = tok.wavelength_response(t, wl, noise=tok.NoiseParams.none())
-    # jump far away to roll the knot cache, then come back
-    tok.wavelength_response(t, tok.Wavelength(1569.9), noise=tok.NoiseParams.none())
-    b = tok.wavelength_response(t, wl, noise=tok.NoiseParams.none())
+    a = tok.respond(t, wl, noise=tok.NoiseParams.none())
+    # a far query in between must not change the answer
+    tok.respond(t, tok.Wavelength(1569.9), noise=tok.NoiseParams.none())
+    b = tok.respond(t, wl, noise=tok.NoiseParams.none())
     assert np.array_equal(a.pixels, b.pixels)
 
 
@@ -338,14 +338,6 @@ def test_wavelength_range_enforced():
     tok.Wavelength(1570.0)
 
 
-def test_respond_dispatches_wavelength():
-    t = tok.new_token(34, kind="pof", grid_dims=(8, 8), out_dims=(32, 32))
-    wl = tok.Wavelength(1550.0)
-    a = tok.respond(t, wl, noise=tok.NoiseParams.none())
-    b = tok.wavelength_response(t, wl, noise=tok.NoiseParams.none())
-    assert np.array_equal(a.pixels, b.pixels)
-
-
 @pytest.mark.parametrize("lo_nm, hi_nm", [(1540.0, 1570.0), (1545.0, 1565.0)])
 def test_wavelength_decorrelation_spans_the_window(lo_nm, hi_nm):
     # the two window ends are drawn jointly, so even 30 nm apart the
@@ -353,7 +345,7 @@ def test_wavelength_decorrelation_spans_the_window(lo_nm, hi_nm):
     L = 30000.0
     t = tok.new_token(35, kind="diffuser", grid_dims=(8, 8), out_dims=(128, 128),
                       wl_decorrelation_length=L, speckle_grain=0.0)
-    a, b = (tok.wavelength_response(t, tok.Wavelength(wl), noise=tok.NoiseParams.none())
+    a, b = (tok.respond(t, tok.Wavelength(wl), noise=tok.NoiseParams.none())
             for wl in (lo_nm, hi_nm))
     expected = math.exp(-2.0 * (hi_nm - lo_nm) * 1000.0 / L)
     assert abs(metrics.cross_correlation(a.as_float(), b.as_float()) - expected) < 0.05
