@@ -33,7 +33,7 @@ from .protocol import (
     save_record,
     verify,
 )
-from .randomness import BitStream, extract_bits, nist_test, suite_report
+from .randomness import extract_bits, nist_test, suite_report
 from .token import (
     Challenge,
     NoiseParams,

@@ -26,8 +26,6 @@ __all__ = [
     "decode",
     "params_to_bytes",
     "params_from_bytes",
-    "save_params",
-    "load_params",
     "least_primitive_poly",
 ]
 
@@ -432,12 +430,3 @@ def params_from_bytes(data: bytes) -> BchParams:
         raise ValueError("stored generator does not match construction")
     return params
 
-
-def save_params(params: BchParams, path):
-    with open(path, "wb") as fh:
-        fh.write(params_to_bytes(params))
-
-
-def load_params(path) -> BchParams:
-    with open(path, "rb") as fh:
-        return params_from_bytes(fh.read())

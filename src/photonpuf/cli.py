@@ -16,10 +16,10 @@ import numpy as np
 
 from . import bch
 from .campaign import Campaign, TokenSpec, run_campaign, success_curve
-from .hashing import HashConfig, hash_apply, hash_enroll
+from .hashing import BitKey, HashConfig, hash_apply, hash_enroll
 from .protocol import authenticate, enroll, load_record, save_record, verify
-from .randomness import ALL_TESTS, BitStream, extract_bits, nist_test, suite_report
-from .service import DEFAULT_FRAME_TIMEOUT, PufService, RecordStore, serve_forever
+from .randomness import ALL_TESTS, nist_test, suite_report
+from .service import DEFAULT_FRAME_TIMEOUT, PufService, RecordStore, random_bits, serve_forever
 from .token import (
     KINDS,
     NoiseParams,
@@ -71,7 +71,6 @@ def _noise_flags(parser: argparse.ArgumentParser):
     g.add_argument("--intensity-sigma", type=float, default=None)
     g.add_argument("--phase-sigma", type=float, default=None)
     g.add_argument("--delta-t", type=float, default=None, help="temperature offset, degC")
-    g.add_argument("--drift-coeff", type=float, default=None)
     g.add_argument("--vibration-amp", type=float, default=None,
                    help="resonant translation jitter amplitude, pixels")
     g.add_argument("--vibration-prob", type=float, default=None)
@@ -90,8 +89,6 @@ def _noise_from_args(args) -> NoiseParams:
         updates["phase_drift_sigma"] = args.phase_sigma
     if args.delta_t is not None:
         updates["delta_T"] = args.delta_t
-    if args.drift_coeff is not None:
-        updates["drift_coeff"] = args.drift_coeff
     if args.vibration_amp is not None:
         updates["vibration_amp"] = args.vibration_amp
     if args.vibration_prob is not None:
@@ -331,23 +328,12 @@ def _cmd_eval_success_curve(args) -> int:
 
 def _cmd_rng_extract(args) -> int:
     token = load_token(args.token)
-    noise = _noise_from_args(args)
-    half = token.out_dims[0] * token.out_dims[1] // 2 - 1
-    per_image = args.bits_per_image or min(2000, half)
-    cfg = HashConfig(algo="rbm", key_len=per_image, rng_seed=args.hash_seed)
-    n_images = -(-args.bits // per_image)
-    images = [
-        respond(token, random_pattern(token.grid_dims, args.seed + i),
-                noise=noise.with_seed(args.noise_seed + i))
-        for i in range(n_images)
-    ]
-    stream = BitStream(extract_bits(images, cfg).bits[: args.bits])
+    stream = BitKey(random_bits(token, args.bits, _noise_from_args(args)))
     with open(args.output, "wb") as fh:
         fh.write(stream.to_bytes())
     _emit(
         ("file", args.output),
-        ("bits", stream.n),
-        ("images", n_images),
+        ("bits", len(stream)),
         ("ones_fraction", float(stream.bits.mean())),
     )
     return 0
@@ -357,7 +343,7 @@ def _cmd_rng_test(args) -> int:
     streams = []
     for path in args.input:
         with open(path, "rb") as fh:
-            streams.append(BitStream.from_bytes(fh.read()))
+            streams.append(BitKey.from_bytes(fh.read()))
     if len(streams) == 1:
         ok = True
         rows = []
@@ -491,12 +477,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_rng = sub.add_parser("rng", help="random-bit extraction and statistical tests")
     rng_sub = p_rng.add_subparsers(dest="action", required=True)
-    p_extract = rng_sub.add_parser("extract")
+    extract_help = "write random bits from captures of a token; each run draws fresh bits"
+    p_extract = rng_sub.add_parser("extract", help=extract_help, description=extract_help)
     p_extract.add_argument("--token", required=True)
     p_extract.add_argument("--bits", type=int, default=20000)
-    p_extract.add_argument("--bits-per-image", type=int, default=None)
-    p_extract.add_argument("--seed", type=int, default=1)
-    p_extract.add_argument("--hash-seed", type=int, default=0)
     p_extract.add_argument("--output", required=True)
     _noise_flags(p_extract)
     p_extract.set_defaults(func=_cmd_rng_extract)

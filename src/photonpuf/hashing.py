@@ -42,8 +42,6 @@ __all__ = [
     "hash_apply",
     "helper_to_bytes",
     "helper_from_bytes",
-    "save_helper",
-    "load_helper",
 ]
 
 _MAGIC = b"PUFH"
@@ -76,16 +74,27 @@ def standardize(image) -> np.ndarray:
     return (arr - arr.mean()) / std
 
 
+def _as_bits(x) -> np.ndarray:
+    """The bits of a ``BitKey``, or a 0/1 sequence as a flat uint8 array."""
+    if isinstance(x, BitKey):
+        return x.bits
+    bits = np.asarray(x, dtype=np.uint8).ravel()
+    if np.any(bits > 1):
+        raise ValueError("bits must be binary")
+    return bits
+
+
 @dataclass(frozen=True, eq=False)
 class BitKey:
-    """Immutable binary key of ``key_len`` bits."""
+    """Immutable bit string: a hash key or an extracted random stream.
+
+    The wire form is a u32 bit count followed by the bits packed LSB-first.
+    """
 
     bits: np.ndarray
 
     def __post_init__(self):
-        bits = np.ascontiguousarray(np.asarray(self.bits, dtype=np.uint8).ravel())
-        if np.any(bits > 1):
-            raise ValueError("key bits must be binary")
+        bits = np.ascontiguousarray(_as_bits(self.bits))
         bits.flags.writeable = False
         object.__setattr__(self, "bits", bits)
 
@@ -103,7 +112,7 @@ class BitKey:
         return hash((self.key_len, self.bits.tobytes()))
 
     def __xor__(self, other) -> "BitKey":
-        other_bits = other.bits if isinstance(other, BitKey) else np.asarray(other, dtype=np.uint8)
+        other_bits = _as_bits(other)
         if other_bits.size != self.key_len:
             raise ValueError("length mismatch")
         return BitKey(self.bits ^ other_bits)
@@ -383,12 +392,3 @@ def helper_from_bytes(data: bytes):
         return SvdHelper(k1, k2, s1, s2, indices, dims)
     raise ValueError(f"unknown hash helper algo {algo}")
 
-
-def save_helper(helper, path):
-    with open(path, "wb") as fh:
-        fh.write(helper_to_bytes(helper))
-
-
-def load_helper(path):
-    with open(path, "rb") as fh:
-        return helper_from_bytes(fh.read())

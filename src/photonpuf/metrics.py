@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateImageError
-from .hashing import BitKey
+from .hashing import BitKey, _as_bits
 from .token import SpeckleImage
 
 __all__ = [
@@ -27,15 +27,6 @@ def _as_values(x) -> np.ndarray:
     if isinstance(x, BitKey):
         return x.bits.astype(np.float64)
     return np.asarray(x, dtype=np.float64).ravel()
-
-
-def _as_bits(x) -> np.ndarray:
-    if isinstance(x, BitKey):
-        return x.bits
-    arr = np.asarray(x, dtype=np.uint8).ravel()
-    if np.any(arr > 1):
-        raise ValueError("bit vector must be binary")
-    return arr
 
 
 def euclidean(a, b) -> float:

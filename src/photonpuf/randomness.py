@@ -8,6 +8,10 @@ frequency, cumulative sums, runs, longest run of ones, spectral, approximate
 entropy, and serial. Each returns the standard p-value(s); a suite report
 aggregates many streams into pass proportions plus a p-value uniformity
 check per test.
+
+The randomness comes from the captures: ``service.random_bits``, behind both
+``OP_RANDOM`` and ``photonpuf rng extract``, lights a fresh random pattern
+with fresh capture noise for every image, so each run draws fresh bits.
 """
 
 from __future__ import annotations
@@ -18,11 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc, gammaincc, ndtr
 
-from ._binio import le, pack_bits, unpack_bits
-from .hashing import HashConfig, _as_pixels, standardize
+from .hashing import BitKey, _as_bits, _as_pixels, standardize
 
 __all__ = [
-    "BitStream",
     "extract_bits",
     "nist_test",
     "suite_report",
@@ -47,41 +49,14 @@ ALPHA = 0.01
 UNIFORMITY_FLOOR = 1e-4
 
 
-@dataclass(frozen=True, eq=False)
-class BitStream:
-    bits: np.ndarray
-
-    def __post_init__(self):
-        bits = np.ascontiguousarray(np.asarray(self.bits, dtype=np.uint8).ravel())
-        if np.any(bits > 1):
-            raise ValueError("stream must be binary")
-        bits.flags.writeable = False
-        object.__setattr__(self, "bits", bits)
-
-    @property
-    def n(self) -> int:
-        return int(self.bits.size)
-
-    def to_bytes(self) -> bytes:
-        return le("I", self.n) + pack_bits(self.bits)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "BitStream":
-        from ._binio import Reader, packed_size
-
-        r = Reader(data)
-        n = r.unpack("I")
-        return cls(unpack_bits(r.take(packed_size(n)), n))
-
-
 _TAG_EXTRACT = 0xEB17
 
 
-def extract_bits(images, cfg: HashConfig, bits_per_image: int | None = None) -> BitStream:
+def extract_bits(images, bits_per_image: int) -> BitKey:
     """Sign-quantize random Fourier projections of each image and concatenate.
 
     One mapping (random pixel sign flips plus a random draw of projection
-    bins) is derived from ``cfg.rng_seed`` and shared by every image, so the
+    bins) is derived from one fixed seed and shared by every image, so the
     output is reproducible and order-stable. Unlike the keyed hash, bits here
     are the raw signs of the projections and the bins are drawn from the
     non-redundant half of the spectrum: the real part of an N-point transform
@@ -89,33 +64,27 @@ def extract_bits(images, cfg: HashConfig, bits_per_image: int | None = None) -> 
     couples all bits of an image, both of which bias the downstream
     statistics this stream feeds.
     """
-    if cfg.algo != "rbm":
-        raise ValueError("bit extraction uses the random binary mapping hash")
     images = list(images)
     if not images:
         raise ValueError("need at least one image")
-    if bits_per_image is None:
-        bits_per_image = cfg.key_len
-    if not 1 <= bits_per_image <= cfg.key_len:
-        raise ValueError(f"bits_per_image must be in 1..{cfg.key_len}")
     arr0 = _as_pixels(images[0])
     n = arr0.size
     half = n // 2 - 1  # distinct informative bins, DC and Nyquist excluded
-    if cfg.key_len > half:
+    if not 1 <= bits_per_image <= half:
         raise ValueError(
-            f"key_len {cfg.key_len} exceeds the {half} distinct bins of a {arr0.shape} image"
+            f"bits_per_image must be in 1..{half}, the distinct bins of a {arr0.shape} image"
         )
-    rng = np.random.default_rng(np.random.SeedSequence([int(cfg.rng_seed), _TAG_EXTRACT]))
+    rng = np.random.default_rng(np.random.SeedSequence([0, _TAG_EXTRACT]))
     signs = rng.integers(0, 2, size=n, dtype=np.int8) * 2 - 1
-    indices = 1 + rng.choice(half, size=cfg.key_len, replace=False)
+    indices = 1 + rng.choice(half, size=bits_per_image, replace=False)
     chunks = []
     for img in images:
         arr = _as_pixels(img)
         if arr.shape != arr0.shape:
             raise ValueError("all images must share one geometry")
         z = np.fft.fft(signs * standardize(arr).ravel())
-        chunks.append((z.real[indices[:bits_per_image]] > 0.0).astype(np.uint8))
-    return BitStream(np.concatenate(chunks))
+        chunks.append((z.real[indices] > 0.0).astype(np.uint8))
+    return BitKey(np.concatenate(chunks))
 
 
 # ----------------------------------------------------------------------
@@ -134,18 +103,9 @@ class TestResult:
         return all(p >= alpha for _, p in self.sub_results)
 
 
-def _bits(stream) -> np.ndarray:
-    if isinstance(stream, BitStream):
-        return stream.bits
-    arr = np.asarray(stream, dtype=np.uint8).ravel()
-    if np.any(arr > 1):
-        raise ValueError("stream must be binary")
-    return arr
-
-
 def frequency(stream) -> TestResult:
     """Monobit test: the +-1 sum should be near zero."""
-    b = _bits(stream)
+    b = _as_bits(stream)
     n = b.size
     if n < 100:
         raise ValueError("frequency test needs at least 100 bits")
@@ -155,7 +115,7 @@ def frequency(stream) -> TestResult:
 
 
 def block_frequency(stream, block_len: int | None = None) -> TestResult:
-    b = _bits(stream)
+    b = _as_bits(stream)
     n = b.size
     if block_len is None:
         block_len = max(20, n // 64)
@@ -182,7 +142,7 @@ def _cusum_p(z: int, n: int) -> float:
 
 def cumulative_sums(stream) -> TestResult:
     """Random-walk excursions, scanned forward and backward."""
-    b = _bits(stream)
+    b = _as_bits(stream)
     n = b.size
     if n < 100:
         raise ValueError("cumulative sums test needs at least 100 bits")
@@ -199,7 +159,7 @@ def cumulative_sums(stream) -> TestResult:
 
 
 def runs(stream) -> TestResult:
-    b = _bits(stream)
+    b = _as_bits(stream)
     n = b.size
     if n < 100:
         raise ValueError("runs test needs at least 100 bits")
@@ -234,7 +194,7 @@ def _longest_one_run(row: np.ndarray) -> int:
 
 
 def longest_run(stream) -> TestResult:
-    b = _bits(stream)
+    b = _as_bits(stream)
     n = b.size
     if n < 128:
         raise ValueError("longest run test needs at least 128 bits")
@@ -257,7 +217,7 @@ def longest_run(stream) -> TestResult:
 
 def fft_spectral(stream) -> TestResult:
     """Peak density below the 95% threshold of the half spectrum."""
-    b = _bits(stream)
+    b = _as_bits(stream)
     n = b.size
     if n < 1000:
         raise ValueError("spectral test needs at least 1000 bits")
@@ -282,7 +242,7 @@ def _pattern_counts(b: np.ndarray, m: int) -> np.ndarray:
 
 
 def approximate_entropy(stream, m: int = 4) -> TestResult:
-    b = _bits(stream)
+    b = _as_bits(stream)
     n = b.size
     if n < 100:
         raise ValueError("approximate entropy test needs at least 100 bits")
@@ -301,7 +261,7 @@ def approximate_entropy(stream, m: int = 4) -> TestResult:
 
 
 def serial(stream, m: int = 5) -> TestResult:
-    b = _bits(stream)
+    b = _as_bits(stream)
     n = b.size
     if n < 100:
         raise ValueError("serial test needs at least 100 bits")

@@ -62,6 +62,7 @@ __all__ = [
     "decode_frame",
     "RecordStore",
     "PufService",
+    "random_bits",
     "serve_forever",
     "ServiceClient",
 ]
@@ -258,18 +259,26 @@ class PufService:
         with self._guard:
             if not self._tokens:
                 raise KeyError("no token installed")
-            tid = sorted(self._tokens)[0]
-            token = self._tokens[tid]
-        per_image = min(2000, token.out_dims[0] * token.out_dims[1] // 2 - 1)
-        cfg = HashConfig(algo="rbm", key_len=per_image)
-        images = []
-        need = -(-n_bits // per_image)
-        for _ in range(need):
-            pattern = random_pattern(token.grid_dims, secrets.randbits(64))
-            images.append(respond(token, pattern, noise=self._fresh_noise()))
-        stream = extract_bits(images, cfg)
-        bits = stream.bits[:n_bits]
+            token = self._tokens[min(self._tokens)]
+        bits = random_bits(token, n_bits, self.noise)
         return bytes([OP_RESULT, OP_RANDOM]) + le("I", n_bits) + pack_bits(bits)
+
+
+def random_bits(token: TokenModel, n_bits: int, noise: NoiseParams) -> np.ndarray:
+    """``n_bits`` fresh random bits extracted from captures of ``token``.
+
+    Each capture lights a random pattern under ``noise``; the pattern seed and
+    the noise seed both come from the operating system's CSPRNG, so no two
+    calls repeat. Up to 2000 bits are taken per capture.
+    """
+    # respond, random_pattern, extract_bits: module globals that perfbench/tracing.py wraps
+    per_image = max(1, min(2000, token.out_dims[0] * token.out_dims[1] // 2 - 1))
+    images = [
+        respond(token, random_pattern(token.grid_dims, secrets.randbits(64)),
+                noise=noise.with_seed(secrets.randbits(64)))
+        for _ in range(-(-n_bits // per_image))
+    ]
+    return extract_bits(images, per_image).bits[:n_bits]
 
 
 # ----------------------------------------------------------------------
@@ -296,7 +305,7 @@ class _Handler(socketserver.BaseRequestHandler):
         sock = self.request
         while True:
             try:
-                sock.settimeout(self.server.idle_timeout)  # type: ignore[attr-defined]
+                sock.settimeout(None)
                 first = sock.recv(1)
             except (TimeoutError, socket.timeout, OSError):
                 return
@@ -327,11 +336,9 @@ class PufServer(socketserver.ThreadingTCPServer):
     allow_reuse_address = True
     daemon_threads = True
 
-    def __init__(self, address, service: PufService, frame_timeout: float = DEFAULT_FRAME_TIMEOUT,
-                 idle_timeout: float | None = None):
+    def __init__(self, address, service: PufService, frame_timeout: float = DEFAULT_FRAME_TIMEOUT):
         self.service = service
         self.frame_timeout = frame_timeout
-        self.idle_timeout = idle_timeout
         super().__init__(address, _Handler)
 
 

@@ -37,6 +37,7 @@ from .errors import BadMagicError, FormatError, TruncatedError
 __all__ = [
     "KINDS",
     "TUNING_RANGE_NM",
+    "MAX_FIELD_ELEMENTS",
     "TokenModel",
     "PixelPattern",
     "Wavelength",
@@ -74,6 +75,13 @@ DEFAULT_GRAIN_PX = 1.5
 
 # intensity headroom: mean intensity maps to 1/4 of full scale
 _HEADROOM = 4.0
+
+# extra phase spread per degree C of thermal offset, radians
+_DRIFT_COEFF = 0.2
+
+# most field tensor elements (grid x camera pixels) a token may have: about
+# 4x the default 256 x 16384, so a hostile token file cannot demand gigabytes
+MAX_FIELD_ELEMENTS = 2 ** 24
 
 _TAG_FIELD = 0x1A57
 _TAG_WL_BRIDGE = 0x5B1D6E
@@ -154,8 +162,8 @@ class NoiseParams:
     """Readout noise configuration for a single capture.
 
     intensity_sigma is a fraction of full scale; phase_drift_sigma is in
-    radians; delta_T (degrees C) adds ``drift_coeff * |delta_T|`` radians of
-    extra phase spread. vibration models a resonant mechanical mode: with
+    radians; delta_T (degrees C) adds ``_DRIFT_COEFF * |delta_T|`` (0.2
+    rad/degC) of extra phase spread. vibration models a resonant mechanical mode: with
     probability vibration_prob per capture the frame is translated by about
     vibration_amp pixels (within +-20%) in a uniformly random direction.
     noise_seed makes the capture reproducible; all-zero magnitudes give
@@ -165,7 +173,6 @@ class NoiseParams:
     intensity_sigma: float = 0.01
     phase_drift_sigma: float = 0.085
     delta_T: float = 0.0
-    drift_coeff: float = 0.2
     vibration_amp: float = 0.0
     vibration_prob: float = 0.0
     noise_seed: int = 0
@@ -179,7 +186,7 @@ class NoiseParams:
 
     @property
     def phase_sigma_total(self) -> float:
-        return self.phase_drift_sigma + self.drift_coeff * abs(self.delta_T)
+        return self.phase_drift_sigma + _DRIFT_COEFF * abs(self.delta_T)
 
 
 class TokenModel:
@@ -201,10 +208,16 @@ class TokenModel:
         out_dims = (int(out_dims[0]), int(out_dims[1]))
         if min(grid_dims) < 1 or min(out_dims) < 1:
             raise ValueError("dimensions must be positive")
-        if wl_decorrelation_length <= 0:
-            raise ValueError("decorrelation length must be positive")
-        if speckle_grain < 0:
-            raise ValueError("speckle grain must be non-negative")
+        n_grid = grid_dims[0] * grid_dims[1]
+        n_out = out_dims[0] * out_dims[1]
+        if n_grid * n_out > MAX_FIELD_ELEMENTS:
+            raise ValueError(
+                f"field tensor of {n_grid} x {n_out} exceeds {MAX_FIELD_ELEMENTS} elements")
+        if not 0 < wl_decorrelation_length < math.inf:
+            raise ValueError("decorrelation length must be positive and finite")
+        if not 0 <= speckle_grain <= max(out_dims):
+            # a wider grain leaves one speckle on the camera (and overflows its kernel)
+            raise ValueError(f"speckle grain must be in 0..{max(out_dims)} pixels")
         self.token_seed = int(token_seed)
         self.kind = kind
         self.grid_dims = grid_dims
@@ -212,8 +225,6 @@ class TokenModel:
         self.wl_decorrelation_length = float(wl_decorrelation_length)
         self.speckle_grain = float(speckle_grain)
 
-        n_grid = grid_dims[0] * grid_dims[1]
-        n_out = out_dims[0] * out_dims[1]
         rng = np.random.default_rng(
             np.random.SeedSequence(
                 [self.token_seed, _KIND_CODE[kind], *grid_dims, *out_dims, _TAG_FIELD]

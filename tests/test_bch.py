@@ -347,10 +347,3 @@ def test_params_wrong_degree_primitive_rejected(prim):
     blob[9:13] = struct.pack("<I", prim)    # after magic, version, m and t
     with pytest.raises(ValueError):
         bch.params_from_bytes(bytes(blob))
-
-
-def test_params_file_roundtrip(tmp_path):
-    params = bch.bch_new(5, 2)
-    path = tmp_path / "code.pufb"
-    bch.save_params(params, path)
-    assert bch.load_params(path) == params

@@ -259,11 +259,9 @@ def test_eval_success_curve(workdir, tmp_path, capsys):
 def test_rng_extract_and_single_stream_test(workdir, tmp_path, capsys):
     stream_file = tmp_path / "bits.puf"
     code, kv, _ = run_cli(capsys, "rng", "extract", "--token", str(workdir / "tok.puft"),
-                          "--bits", "4096", "--bits-per-image", "500",
-                          "--output", str(stream_file))
+                          "--bits", "4096", "--output", str(stream_file))
     assert code == 0
     assert kv["bits"] == "4096"
-    assert kv["images"] == "9"
     assert 0.4 < float(kv["ones_fraction"]) < 0.6
 
     code, kv, _ = run_cli(capsys, "rng", "test", "--input", str(stream_file))
@@ -278,9 +276,7 @@ def test_rng_multi_stream_suite(workdir, tmp_path, capsys):
     for i in range(3):
         path = tmp_path / f"s{i}.puf"
         assert main(["rng", "extract", "--token", str(workdir / "tok.puft"),
-                     "--bits", "2048", "--bits-per-image", "500",
-                     "--seed", str(100 * i + 1), "--hash-seed", str(i),
-                     "--noise-seed", str(10 * i), "--output", str(path)]) == 0
+                     "--bits", "2048", "--output", str(path)]) == 0
         paths.append(str(path))
     capsys.readouterr()
     code, kv, _ = run_cli(capsys, "rng", "test", "--input", *paths)
@@ -288,6 +284,15 @@ def test_rng_multi_stream_suite(workdir, tmp_path, capsys):
     assert "frequency_proportion" in kv
     assert "serial_band" in kv
     assert code in (0, 1)
+
+
+def test_rng_extract_draws_fresh_bits_each_run(workdir, tmp_path, capsys):
+    paths = [tmp_path / "a.puf", tmp_path / "b.puf"]
+    for path in paths:
+        code, kv, _ = run_cli(capsys, "rng", "extract", "--token", str(workdir / "tok.puft"),
+                              "--bits", "2000", "--output", str(path))
+        assert code == 0 and kv["bits"] == "2000"
+    assert paths[0].read_bytes() != paths[1].read_bytes()
 
 
 def test_rng_test_missing_file(capsys, tmp_path):

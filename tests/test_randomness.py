@@ -16,11 +16,10 @@ from hypothesis import strategies as st
 from scipy.special import erfc, gammaincc
 
 from photonpuf import randomness as rnd
-from photonpuf.hashing import HashConfig
+from photonpuf.hashing import BitKey
 from photonpuf.randomness import TestResult as BatteryResult
 from photonpuf.randomness import (
     ALL_TESTS,
-    BitStream,
     extract_bits,
     nist_test,
     pvalue_uniformity,
@@ -361,7 +360,7 @@ def test_uniformity_rejects_empty():
 # ---------------------------------------------------------------- suite report
 
 def test_suite_report_good_ensemble():
-    streams = [BitStream(random_bits(8192, 100 + seed)) for seed in range(40)]
+    streams = [BitKey(random_bits(8192, 100 + seed)) for seed in range(40)]
     report = suite_report(streams)
     assert report.n_streams == 40
     assert len(report.rows) == len(ALL_TESTS)
@@ -373,7 +372,7 @@ def test_suite_report_good_ensemble():
 
 def test_suite_report_flags_bias():
     rng = np.random.default_rng(3)
-    streams = [BitStream((rng.random(4096) < 0.58).astype(np.uint8)) for _ in range(20)]
+    streams = [BitKey((rng.random(4096) < 0.58).astype(np.uint8)) for _ in range(20)]
     report = suite_report(streams)
     assert not report.passed
     by_name = {r.test: r for r in report.rows}
@@ -383,7 +382,7 @@ def test_suite_report_flags_bias():
 
 def test_suite_report_flags_identical_streams():
     # copies of one good stream pass individually but flunk uniformity
-    stream = BitStream(random_bits(4096, 11))
+    stream = BitKey(random_bits(4096, 11))
     report = suite_report([stream] * 25)
     by_name = {r.test: r for r in report.rows}
     assert by_name["frequency"].proportion_ok
@@ -393,26 +392,35 @@ def test_suite_report_flags_identical_streams():
 
 def test_suite_report_needs_two_streams():
     with pytest.raises(ValueError):
-        suite_report([BitStream(random_bits(4096))])
+        suite_report([BitKey(random_bits(4096))])
 
 
-# ---------------------------------------------------------------- BitStream
+# ---------------------------------------------------------------- stream files
 
 def test_bitstream_roundtrip_and_wire_format():
     bits = random_bits(77, 9)
-    stream = BitStream(bits)
+    stream = BitKey(bits)
     blob = stream.to_bytes()
     assert blob[:4] == (77).to_bytes(4, "little")
     assert len(blob) == 4 + 10
-    back = BitStream.from_bytes(blob)
+    back = BitKey.from_bytes(blob)
     assert np.array_equal(back.bits, bits)
-    assert back.n == 77
+    assert len(back) == 77
+
+
+def test_stream_file_of_the_removed_bitstream_class_loads():
+    # written by BitStream([1, 0, 1, 1, 0, 0, 0, 0, 1, 1, 1, 0, 1]).to_bytes()
+    # before extract_bits returned a BitKey: u32 count, then bits LSB-first
+    blob = bytes.fromhex("0d000000" "0d17")
+    back = BitKey.from_bytes(blob)
+    assert back.bits.tolist() == [1, 0, 1, 1, 0, 0, 0, 0, 1, 1, 1, 0, 1]
+    assert back.to_bytes() == blob
 
 
 def test_bitstream_validation_and_immutability():
     with pytest.raises(ValueError):
-        BitStream([0, 1, 3])
-    s = BitStream([1, 0])
+        BitKey([0, 1, 3])
+    s = BitKey([1, 0])
     with pytest.raises(ValueError):
         s.bits[0] = 0
 
@@ -420,15 +428,11 @@ def test_bitstream_validation_and_immutability():
 @settings(deadline=None, max_examples=40)
 @given(st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=200))
 def test_bitstream_roundtrip_property(bits):
-    back = BitStream.from_bytes(BitStream(bits).to_bytes())
+    back = BitKey.from_bytes(BitKey(bits).to_bytes())
     assert back.bits.tolist() == bits
 
 
 # ---------------------------------------------------------------- extraction
-
-def ext_cfg(key_len=500, seed=0):
-    return HashConfig(algo="rbm", key_len=key_len, rng_seed=seed)
-
 
 def exp_images(count, shape=(48, 48), seed=0):
     rng = np.random.default_rng(seed)
@@ -437,49 +441,37 @@ def exp_images(count, shape=(48, 48), seed=0):
 
 def test_extract_deterministic_and_seeded():
     imgs = exp_images(3)
-    a = extract_bits(imgs, ext_cfg())
-    b = extract_bits(imgs, ext_cfg())
-    c = extract_bits(imgs, ext_cfg(seed=1))
+    a = extract_bits(imgs, 500)
+    b = extract_bits(imgs, 500)
+    assert isinstance(a, BitKey)
     assert np.array_equal(a.bits, b.bits)
-    assert not np.array_equal(a.bits, c.bits)
-    assert a.n == 3 * 500
+    assert len(a) == 3 * 500
 
 
 def test_extract_concatenates_in_order():
     imgs = exp_images(3, seed=4)
-    whole = extract_bits(imgs, ext_cfg())
-    parts = [extract_bits([img], ext_cfg()) for img in imgs]
+    whole = extract_bits(imgs, 500)
+    parts = [extract_bits([img], 500) for img in imgs]
     assert np.array_equal(whole.bits, np.concatenate([p.bits for p in parts]))
-
-
-def test_extract_prefix_property():
-    imgs = exp_images(1, seed=5)
-    full = extract_bits(imgs, ext_cfg())
-    short = extract_bits(imgs, ext_cfg(), bits_per_image=100)
-    assert np.array_equal(short.bits, full.bits[:100])
 
 
 def test_extract_validations():
     imgs = exp_images(2)
     with pytest.raises(ValueError):
-        extract_bits(imgs, HashConfig(algo="svd", key_len=100))
+        extract_bits([], 500)
     with pytest.raises(ValueError):
-        extract_bits([], ext_cfg())
-    with pytest.raises(ValueError):
-        extract_bits(imgs, ext_cfg(), bits_per_image=0)
-    with pytest.raises(ValueError):
-        extract_bits(imgs, ext_cfg(), bits_per_image=501)
-    with pytest.raises(ValueError):
-        extract_bits([imgs[0], np.ones((8, 8))], ext_cfg())
+        extract_bits([imgs[0], np.ones((8, 8))], 500)
     half = 48 * 48 // 2 - 1
     with pytest.raises(ValueError):
-        extract_bits(imgs, ext_cfg(key_len=half + 1))
-    extract_bits(imgs, ext_cfg(key_len=half))   # boundary is legal
+        extract_bits(imgs, 0)
+    with pytest.raises(ValueError):
+        extract_bits(imgs, half + 1)
+    extract_bits(imgs, half)   # boundary is legal
 
 
 def test_extracted_bits_look_fair():
     imgs = exp_images(10, seed=6)
-    stream = extract_bits(imgs, ext_cfg(key_len=1000))
+    stream = extract_bits(imgs, 1000)
     assert abs(stream.bits.mean() - 0.5) < 0.02
     assert rnd.frequency(stream).p_value > 0.001
     assert rnd.runs(stream).p_value > 0.001

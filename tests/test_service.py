@@ -39,7 +39,8 @@ from photonpuf.service import (
     error_payload,
     parse_error,
 )
-from photonpuf.token import challenge_to_bytes, new_token, random_pattern
+from photonpuf.randomness import extract_bits
+from photonpuf.token import NoiseParams, challenge_to_bytes, new_token, random_pattern, respond
 from photonpuf._binio import le
 
 pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
@@ -271,11 +272,32 @@ def test_random_bits_exact_count(tmp_path):
     assert again[6:] != reply[6:]
 
 
+def test_random_reply_layout(tmp_path, counted_entropy):
+    # seeds 1..4: pattern then capture noise for each of the two captures
+    service, _ = make_service(tmp_path)
+    reply = service.handle_payload(bytes([OP_RANDOM]) + le("I", 700))
+    token = new_token(1, grid_dims=(8, 8), out_dims=(32, 32))
+    images = [respond(token, random_pattern((8, 8), seed), noise=NoiseParams().with_seed(seed + 1))
+              for seed in (1, 3)]
+    bits = extract_bits(images, 32 * 32 // 2 - 1).bits[:700]
+    assert reply == (bytes([OP_RESULT, OP_RANDOM]) + struct.pack("<I", 700)
+                     + np.packbits(bits, bitorder="little").tobytes())
+
+
 def test_random_without_tokens(tmp_path):
     service = PufService(RecordStore(tmp_path / "r"), bch_params=bch.bch_new(4, 3),
                          hash_cfg=HashConfig(algo="rbm", key_len=15))
     reply = service.handle_payload(bytes([OP_RANDOM]) + le("I", 10))
     assert parse_error(reply)[0] == ERR_NOT_FOUND
+
+
+def test_random_on_a_token_too_small_to_extract(tmp_path):
+    # a 1x2 camera has no bins to draw from: an input error, not an internal one
+    service = PufService(RecordStore(tmp_path / "r"), bch_params=bch.bch_new(4, 3),
+                         hash_cfg=HashConfig(algo="rbm", key_len=15))
+    service.add_token(new_token(1, grid_dims=(2, 2), out_dims=(1, 2)))
+    reply = service.handle_payload(bytes([OP_RANDOM]) + le("I", 8))
+    assert parse_error(reply)[0] == ERR_BAD_FRAME
 
 
 def test_service_validates_key_length(tmp_path):
@@ -338,6 +360,13 @@ def test_truncated_frame_recovers(server):
         rid, _ = client.enroll(tid, chal_blob())
         accepted, _ = client.auth(rid)
         assert accepted
+
+
+def test_idle_connection_stays_open(server):
+    srv, _, _ = server
+    with ServiceClient(srv.server_address) as client:
+        time.sleep(2 * srv.frame_timeout)   # idle between frames is not a stall
+        assert client.random_bits(16).size == 16
 
 
 def test_oversized_frame_rejected(server):

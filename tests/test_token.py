@@ -8,6 +8,7 @@ superposition is exact linearity in the transmission rows.
 
 import io
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -206,6 +207,8 @@ def test_temperature_drift_adds_phase_noise():
 
     assert cc_at(0.0) > 0.999  # compensation on: no residual drift term
     assert cc_at(3.0) < cc_at(1.0) < cc_at(0.0)
+    # 0.2 rad of extra spread per degree C of offset, either sign
+    assert tok.NoiseParams(phase_drift_sigma=0.1, delta_T=-2.5).phase_sigma_total == 0.1 + 0.2 * 2.5
 
 
 def test_translate_mechanics():
@@ -398,6 +401,23 @@ def test_token_bytes_errors():
         tok.token_from_bytes(bad_version)
     with pytest.raises(errors.TruncatedError):
         tok.token_from_bytes(bytes(blob[:-3]))
+
+
+def test_hostile_token_sizes_rejected_before_drawing():
+    # a token file asking for a 1000x1000 grid and camera (7.28 TiB of field)
+    blob = bytearray(tok.token_to_bytes(make_token()))
+    blob[15:31] = struct.pack("<IIII", 1000, 1000, 1000, 1000)  # after magic, version, kind, seed
+    with pytest.raises(ValueError, match="exceeds"):
+        tok.token_from_bytes(bytes(blob))
+    # room above the default 256 x 16384 tensor, none just past the cap
+    assert 256 * 128 * 128 * 4 <= tok.MAX_FIELD_ELEMENTS
+    with pytest.raises(ValueError, match="exceeds"):
+        tok.TokenModel(1, "diffuser", (1, 1), (1, tok.MAX_FIELD_ELEMENTS + 1), 2000.0, 0.0)
+    for decorr, grain in ((math.nan, 1.5), (math.inf, 1.5), (2000.0, math.nan), (2000.0, 4.5),
+                          (2000.0, 1e160)):
+        with pytest.raises(ValueError):
+            tok.TokenModel(1, "diffuser", (2, 2), (4, 4), decorr, grain)
+    tok.TokenModel(1, "diffuser", (2, 2), (4, 4), 2000.0, 4.0)   # grain up to the camera size
 
 
 def test_challenge_roundtrip():
