@@ -28,6 +28,13 @@ def unpack_bits(data: bytes, n: int) -> np.ndarray:
     return arr[:n].copy()
 
 
+def frozen_array(x, dtype=None) -> np.ndarray:
+    """Contiguous read-only copy: a frozen container never shares its caller's buffer."""
+    arr = np.array(x, dtype=dtype, order="C")
+    arr.flags.writeable = False
+    return arr
+
+
 def packed_size(n_bits: int) -> int:
     return (n_bits + 7) // 8
 

@@ -7,13 +7,16 @@ root search with numpy over the field tables for every code length, with
 Berlekamp-Massey in between; a final syndrome check makes sure every
 corrected word is a codeword.
 
+The field tables are also the primitivity check: a degree-m polynomial f is
+primitive iff the powers of x modulo f visit all 2^m - 1 nonzero residues
+before they return to 1. Any other polynomial (reducible, or irreducible
+with x of smaller order) raises ``ValueError`` before a table is used.
+
 Decode failure is a value (``None``), not an exception: callers in the
 authentication path treat it as a rejection, never as a crash.
 """
 
 from __future__ import annotations
-
-from functools import lru_cache
 
 import numpy as np
 
@@ -58,55 +61,6 @@ def _pmod(a: int, b: int) -> int:
     return a
 
 
-def _ppowmod(a: int, e: int, mod: int) -> int:
-    r = 1
-    a = _pmod(a, mod)
-    while e:
-        if e & 1:
-            r = _pmod(_pmul(r, a), mod)
-        a = _pmod(_pmul(a, a), mod)
-        e >>= 1
-    return r
-
-
-def _is_irreducible(f: int, m: int) -> bool:
-    if not f & 1:  # x divides
-        return False
-    for d in range(1, m // 2 + 1):
-        for q in range(1 << d, 1 << (d + 1)):
-            if _pmod(f, q) == 0:
-                return False
-    return True
-
-
-def _prime_factors(n: int):
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return out
-
-
-@lru_cache(maxsize=None)
-def least_primitive_poly(m: int) -> int:
-    """Smallest (as integer encoding) primitive polynomial of degree m."""
-    n = (1 << m) - 1
-    factors = _prime_factors(n)
-    for f in range((1 << m) | 1, 1 << (m + 1), 2):
-        if not _is_irreducible(f, m):
-            continue
-        # x is primitive mod f iff its order is exactly 2^m - 1
-        if all(_ppowmod(2, n // p, f) != 1 for p in factors):
-            return f
-    raise AssertionError(f"no primitive polynomial of degree {m}")
-
-
 # ----------------------------------------------------------------------
 # GF(2^m) field tables
 
@@ -119,14 +73,16 @@ class _Field:
             raise ValueError(f"0x{prim_poly:x} is not a polynomial of degree {m}")
         exp = [0] * (2 * self.n)
         log = [0] * (self.n + 1)
-        x = 1
+        x, i = 1, 0
         for i in range(self.n):
             exp[i] = x
             log[x] = i
             x <<= 1
             if x >> m:
                 x ^= prim_poly
-        if x != 1:
+            if x == 1:
+                break
+        if x != 1 or i != self.n - 1:  # primitive iff x first returns to 1 at x^n
             raise ValueError(f"0x{prim_poly:x} is not primitive for m={m}")
         for i in range(self.n):
             exp[self.n + i] = exp[i]
@@ -134,7 +90,6 @@ class _Field:
         self.exp = exp          # python list, scalar fast path
         self.log = log
         self.exp_np = np.array(exp, dtype=np.int64)
-        self.log_np = np.array(log, dtype=np.int64)
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -143,6 +98,20 @@ class _Field:
 
     def alpha_pow(self, e: int) -> int:
         return self.exp[e % self.n]
+
+
+def _least_field(m: int) -> _Field:
+    for f in range((1 << m) | 1, 1 << (m + 1), 2):
+        try:
+            return _Field(m, f)
+        except ValueError:
+            pass
+    raise AssertionError(f"no primitive polynomial of degree {m}")
+
+
+def least_primitive_poly(m: int) -> int:
+    """Smallest (as integer encoding) primitive polynomial of degree m."""
+    return _least_field(m).prim_poly
 
 
 def _cyclotomic_coset(i: int, n: int):
@@ -194,19 +163,17 @@ class BchParams:
         Primitive polynomial defining the field representation.
     """
 
-    def __init__(self, m: int, t: int, primitive_poly: int, generator_poly: int):
-        self.m = m
+    def __init__(self, field: _Field, t: int, generator_poly: int):
+        self.m = field.m
         self.t = t
         self.d = 2 * t + 1
-        self.n = (1 << m) - 1
-        self.primitive_poly = primitive_poly
+        self.n = field.n
+        self.primitive_poly = field.prim_poly
         self.generator_poly = generator_poly
         self.k = self.n - _deg(generator_poly)
         if self.k <= 0:
-            raise ValueError(f"BCH(m={m}, t={t}) has no message bits")
-        self._field = _Field(m, primitive_poly)
-        # degrees 0..n-1 for vectorized syndrome evaluation
-        self._degrees = np.arange(self.n, dtype=np.int64)
+            raise ValueError(f"BCH(m={self.m}, t={t}) has no message bits")
+        self._field = field
 
     def __repr__(self):
         return f"BchParams(n={self.n}, k={self.k}, t={self.t})"
@@ -233,9 +200,7 @@ def bch_new(m: int, t: int, primitive_poly: int | None = None) -> BchParams:
         raise ValueError(f"m={m} outside supported range [3, 10]")
     if t < 1:
         raise ValueError(f"t={t} must be at least 1")
-    if primitive_poly is None:
-        primitive_poly = least_primitive_poly(m)
-    field = _Field(m, primitive_poly)
+    field = _least_field(m) if primitive_poly is None else _Field(m, primitive_poly)
     gen = 1
     covered: set[int] = set()
     for i in range(1, 2 * t, 2):
@@ -244,7 +209,7 @@ def bch_new(m: int, t: int, primitive_poly: int | None = None) -> BchParams:
         coset = _cyclotomic_coset(i, field.n)
         covered.update(coset)
         gen = _pmul(gen, _minimal_poly(field, i))
-    params = BchParams(m, t, primitive_poly, gen)
+    params = BchParams(field, t, gen)
     # generator must divide x^n - 1, otherwise the construction is broken
     if _pmod((1 << params.n) | 1, gen) != 0:
         raise AssertionError("generator does not divide x^n - 1")

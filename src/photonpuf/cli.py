@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import os
+import secrets
 import sys
 
 import numpy as np
@@ -66,7 +67,7 @@ def _load_challenge(path: str):
     return challenge
 
 
-def _noise_flags(parser: argparse.ArgumentParser):
+def _noise_flags(parser: argparse.ArgumentParser, seeded: bool = True):
     g = parser.add_argument_group("capture noise")
     g.add_argument("--intensity-sigma", type=float, default=None)
     g.add_argument("--phase-sigma", type=float, default=None)
@@ -74,14 +75,17 @@ def _noise_flags(parser: argparse.ArgumentParser):
     g.add_argument("--vibration-amp", type=float, default=None,
                    help="resonant translation jitter amplitude, pixels")
     g.add_argument("--vibration-prob", type=float, default=None)
-    g.add_argument("--noise-seed", type=int, default=0)
+    if seeded:  # rng extract and serve reseed every capture themselves
+        g.add_argument("--noise-seed", type=int, default=None,
+                       help="repeat a capture; a fresh seed from the OS CSPRNG by default")
     g.add_argument("--no-noise", action="store_true", help="ideal noiseless capture")
 
 
 def _noise_from_args(args) -> NoiseParams:
     if args.no_noise:
         return NoiseParams.none()
-    base = NoiseParams(noise_seed=args.noise_seed)
+    seed = getattr(args, "noise_seed", None)
+    base = NoiseParams(noise_seed=secrets.randbits(64) if seed is None else seed)
     updates = {}
     if args.intensity_sigma is not None:
         updates["intensity_sigma"] = args.intensity_sigma
@@ -299,10 +303,10 @@ def _cmd_eval_success_curve(args) -> int:
     enroll_keys, auth_keys = [], []
     for i in range(args.enrollments):
         challenge = random_pattern(token.grid_dims, args.seed + i)
-        image = respond(token, challenge, noise=noise.with_seed(args.noise_seed + 1000 * i))
+        image = respond(token, challenge, noise=noise.with_seed(noise.noise_seed + 1000 * i))
         key, helper = hash_enroll(image, dataclasses.replace(cfg, rng_seed=args.hash_seed + i))
         for j in range(args.auths):
-            noisy = respond(token, challenge, noise=noise.with_seed(args.noise_seed + 1000 * i + j + 1))
+            noisy = respond(token, challenge, noise=noise.with_seed(noise.noise_seed + 1000 * i + j + 1))
             enroll_keys.append(key)
             auth_keys.append(hash_apply(noisy, helper))
     curve = success_curve(enroll_keys, auth_keys)
@@ -482,7 +486,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_extract.add_argument("--token", required=True)
     p_extract.add_argument("--bits", type=int, default=20000)
     p_extract.add_argument("--output", required=True)
-    _noise_flags(p_extract)
+    _noise_flags(p_extract, seeded=False)
     p_extract.set_defaults(func=_cmd_rng_extract)
     p_test = rng_sub.add_parser("test")
     p_test.add_argument("--input", nargs="+", required=True)
@@ -499,7 +503,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--bch-m", type=int, default=8)
     p_serve.add_argument("--bch-t", type=int, default=31)
     p_serve.add_argument("--frame-timeout", type=float, default=DEFAULT_FRAME_TIMEOUT)
-    _noise_flags(p_serve)
+    _noise_flags(p_serve, seeded=False)
     p_serve.set_defaults(func=_cmd_serve)
 
     return parser

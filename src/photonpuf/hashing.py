@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._binio import Reader, le, pack_bits, packed_size, unpack_bits
+from ._binio import Reader, frozen_array, le, pack_bits, packed_size, unpack_bits
 from .errors import DegenerateImageError
 from .token import SpeckleImage
 
@@ -94,9 +94,7 @@ class BitKey:
     bits: np.ndarray
 
     def __post_init__(self):
-        bits = np.ascontiguousarray(_as_bits(self.bits))
-        bits.flags.writeable = False
-        object.__setattr__(self, "bits", bits)
+        object.__setattr__(self, "bits", frozen_array(_as_bits(self.bits)))
 
     @property
     def key_len(self) -> int:
@@ -140,8 +138,8 @@ class RbmHelper:
     image_dims: tuple
 
     def __post_init__(self):
-        signs = np.ascontiguousarray(np.asarray(self.signs, dtype=np.int8).ravel())
-        idx = np.ascontiguousarray(np.asarray(self.indices, dtype=np.uint32).ravel())
+        signs = frozen_array(self.signs, np.int8).ravel()
+        idx = frozen_array(self.indices, np.uint32).ravel()
         if not np.all(np.abs(signs) == 1):
             raise ValueError("signs must be +-1")
         dims = (int(self.image_dims[0]), int(self.image_dims[1]))
@@ -151,8 +149,6 @@ class RbmHelper:
             raise ValueError("need 1..N selected indices")
         if idx.max(initial=0) >= signs.size:
             raise ValueError("selected index out of range")
-        signs.flags.writeable = False
-        idx.flags.writeable = False
         object.__setattr__(self, "signs", signs)
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "image_dims", dims)
@@ -211,13 +207,11 @@ class SvdHelper:
     image_dims: tuple
 
     def __post_init__(self):
-        s1 = np.ascontiguousarray(np.asarray(self.stage1_origins, dtype=np.uint32))
-        s2 = np.ascontiguousarray(np.asarray(self.stage2_origins, dtype=np.uint32))
-        idx = np.ascontiguousarray(np.asarray(self.indices, dtype=np.uint32).ravel())
+        s1 = frozen_array(self.stage1_origins, np.uint32)
+        s2 = frozen_array(self.stage2_origins, np.uint32)
+        idx = frozen_array(self.indices, np.uint32).ravel()
         if s1.ndim != 2 or s1.shape[1] != 2 or s2.ndim != 2 or s2.shape[1] != 2:
             raise ValueError("origins must be (count, 2) arrays")
-        for a in (s1, s2, idx):
-            a.flags.writeable = False
         object.__setattr__(self, "stage1_origins", s1)
         object.__setattr__(self, "stage2_origins", s2)
         object.__setattr__(self, "indices", idx)

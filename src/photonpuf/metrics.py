@@ -74,13 +74,11 @@ class DistanceReport:
     counts: np.ndarray
 
     @classmethod
-    def from_values(cls, values, kind="", metric="", bins="auto") -> "DistanceReport":
+    def from_values(cls, values, kind="", metric="") -> "DistanceReport":
         values = np.asarray(values, dtype=np.float64).ravel()
         if values.size == 0:
             raise ValueError("empty sample")
-        if bins == "auto":
-            bins = _edges(values, _fd_bin_width(values))
-        counts, edges = np.histogram(values, bins=bins)
+        counts, edges = np.histogram(values, bins=_edges(values, _fd_bin_width(values)))
         return cls(kind, metric, values, edges, counts)
 
     @property

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bch
-from ._binio import Reader, le, pack_bits, packed_size, unpack_bits
+from ._binio import Reader, frozen_array, le, pack_bits, packed_size, unpack_bits
 from .hashing import BitKey, HashConfig, hash_apply, hash_enroll, helper_from_bytes, helper_to_bytes
 from .token import Challenge, challenge_from_bytes, challenge_to_bytes
 
@@ -63,10 +63,9 @@ class EnrollmentRecord:
             raise ValueError("record_id and token_id must be 16 bytes")
         if len(self.key_digest) != 32:
             raise ValueError("key digest must be 32 bytes")
-        offset = np.ascontiguousarray(np.asarray(self.code_offset, dtype=np.uint8).ravel())
+        offset = frozen_array(self.code_offset, np.uint8).ravel()
         if offset.size != self.bch_params.n:
             raise ValueError("code offset length must equal the code length")
-        offset.flags.writeable = False
         object.__setattr__(self, "code_offset", offset)
 
 

@@ -350,7 +350,7 @@ class SuiteReport:
         return "\n".join(lines)
 
 
-def suite_report(streams, tests=ALL_TESTS, alpha: float = ALPHA) -> SuiteReport:
+def suite_report(streams, alpha: float = ALPHA) -> SuiteReport:
     """Aggregate the battery over many streams.
 
     For every test the worst sub-part is reported: pass proportion with its
@@ -360,9 +360,9 @@ def suite_report(streams, tests=ALL_TESTS, alpha: float = ALPHA) -> SuiteReport:
     s = len(streams)
     if s < 2:
         raise ValueError("need at least two streams")
-    per_part: dict[str, dict[str, list]] = {name: {} for name in tests}
+    per_part: dict[str, dict[str, list]] = {name: {} for name in ALL_TESTS}
     for stream in streams:
-        for name in tests:
+        for name in ALL_TESTS:
             result = nist_test(stream, name)
             for label, p in result.sub_results:
                 per_part[name].setdefault(label, []).append(p)
@@ -371,7 +371,7 @@ def suite_report(streams, tests=ALL_TESTS, alpha: float = ALPHA) -> SuiteReport:
     margin = 3.0 * math.sqrt(p_hat * alpha / s)
     band = (p_hat - margin, min(1.0, p_hat + margin))
     rows = []
-    for name in tests:
+    for name in ALL_TESTS:
         worst_prop, worst_unif = 1.0, 1.0
         for label, ps in per_part[name].items():
             ps_arr = np.asarray(ps)

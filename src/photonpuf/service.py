@@ -17,7 +17,6 @@ restarts the parse.
 
 from __future__ import annotations
 
-import dataclasses
 import os
 import secrets
 import socket
@@ -170,17 +169,11 @@ class PufService:
     def __init__(
         self,
         store: RecordStore,
-        hash_cfg: HashConfig | None = None,
         bch_params=None,
         noise: NoiseParams | None = None,
     ):
         self.store = store
         self.bch_params = bch_params if bch_params is not None else bch.bch_new(8, 31)
-        if hash_cfg is None:
-            hash_cfg = HashConfig(algo="rbm", key_len=self.bch_params.n)
-        if hash_cfg.key_len != self.bch_params.n:
-            raise ValueError("hash key length must equal the code length")
-        self.hash_cfg = hash_cfg
         self.noise = noise if noise is not None else NoiseParams()
         self._tokens: dict[bytes, TokenModel] = {}
         self._guard = threading.Lock()
@@ -228,7 +221,7 @@ class PufService:
         if token is None:
             raise KeyError(tid.hex())
         image = respond(token, challenge, noise=self._fresh_noise())
-        cfg = dataclasses.replace(self.hash_cfg, rng_seed=secrets.randbits(64))
+        cfg = HashConfig(key_len=self.bch_params.n, rng_seed=secrets.randbits(64))
         _, record = enroll(image, cfg, self.bch_params, token_id=tid, challenge=challenge)
         self.store.save(record)
         return bytes([OP_RESULT, OP_ENROLL]) + record.record_id + record.key_digest

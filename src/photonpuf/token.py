@@ -31,7 +31,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from ._binio import Reader, le, pack_bits, packed_size, unpack_bits
+from ._binio import Reader, frozen_array, le, pack_bits, packed_size, unpack_bits
 from .errors import BadMagicError, FormatError, TruncatedError
 
 __all__ = [
@@ -90,6 +90,11 @@ _TAG_NOISE = 0x401E
 # wavelength queries snap to a dyadic grid over the tuning window that is at
 # least this many times finer than the decorrelation length
 _BRIDGE_RESOLUTION = 4096
+# deepest bisection a token may ask for; finer decorrelation lengths are rejected
+_MAX_BRIDGE_LEVELS = 64
+_MIN_DECORRELATION_PM = (
+    (TUNING_RANGE_NM[1] - TUNING_RANGE_NM[0]) * 1000.0 * _BRIDGE_RESOLUTION
+    / 2.0 ** _MAX_BRIDGE_LEVELS)
 
 _MAGIC_TOKEN = b"PUFT"
 _TOKEN_VERSION = 1
@@ -105,12 +110,11 @@ class PixelPattern:
     mask: np.ndarray
 
     def __post_init__(self):
-        mask = np.ascontiguousarray(np.asarray(self.mask, dtype=np.uint8))
+        mask = frozen_array(self.mask, np.uint8)
         if mask.ndim != 2:
             raise ValueError("challenge mask must be 2-D")
         if np.any(mask > 1):
             raise ValueError("challenge mask must be binary")
-        mask.flags.writeable = False
         object.__setattr__(self, "mask", mask)
 
     @property
@@ -143,10 +147,9 @@ class SpeckleImage:
     bit_depth: int = 8
 
     def __post_init__(self):
-        px = np.ascontiguousarray(self.pixels)
+        px = frozen_array(self.pixels)
         if px.ndim != 2:
             raise ValueError("image must be 2-D")
-        px.flags.writeable = False
         object.__setattr__(self, "pixels", px)
 
     @property
@@ -213,8 +216,9 @@ class TokenModel:
         if n_grid * n_out > MAX_FIELD_ELEMENTS:
             raise ValueError(
                 f"field tensor of {n_grid} x {n_out} exceeds {MAX_FIELD_ELEMENTS} elements")
-        if not 0 < wl_decorrelation_length < math.inf:
-            raise ValueError("decorrelation length must be positive and finite")
+        if not _MIN_DECORRELATION_PM <= wl_decorrelation_length < math.inf:
+            raise ValueError(f"decorrelation length must be finite and at least "
+                             f"{_MIN_DECORRELATION_PM:.3g} pm")
         if not 0 <= speckle_grain <= max(out_dims):
             # a wider grain leaves one speckle on the camera (and overflows its kernel)
             raise ValueError(f"speckle grain must be in 0..{max(out_dims)} pixels")

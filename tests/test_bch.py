@@ -96,6 +96,17 @@ def test_least_primitive_polynomials():
     assert bch.least_primitive_poly(7) == 0b10000011
 
 
+@pytest.mark.parametrize("m", range(3, 9))
+def test_field_accepts_exactly_the_primitive_polynomials(m):
+    n = (1 << m) - 1
+    for f in range((1 << m) | 1, 1 << (m + 1), 2):
+        if oracle_is_irreducible(f, m) and oracle_multiplicative_order_of_x(f, m) == n:
+            assert bch.bch_new(m, 1, primitive_poly=f).primitive_poly == f
+        else:
+            with pytest.raises(ValueError):
+                bch.bch_new(m, 1, primitive_poly=f)
+
+
 @pytest.mark.parametrize(
     "m,t,n,k",
     [
@@ -339,10 +350,11 @@ def test_params_truncated():
         bch.params_from_bytes(blob[:-2])
 
 
-@pytest.mark.parametrize("prim", [3, 0, 0x11D | 1 << 20])
-def test_params_wrong_degree_primitive_rejected(prim):
-    # a stored primitive polynomial whose degree is not m must fail as a
-    # format problem, not index past the field tables
+@pytest.mark.parametrize("prim", [3, 0, 0x11D | 1 << 20, 0x11B])
+def test_params_non_primitive_polynomial_rejected(prim):
+    # a stored polynomial that is not primitive of degree m must fail as a
+    # format problem, not index past the field tables; 0x11B is irreducible
+    # but x has order 51, not 255
     blob = bytearray(bch.params_to_bytes(bch.bch_new(8, 4)))
     blob[9:13] = struct.pack("<I", prim)    # after magic, version, m and t
     with pytest.raises(ValueError):

@@ -121,6 +121,15 @@ def test_capture_writes_pgm(workdir, tmp_path, capsys):
     assert float(kv["mean"]) == pytest.approx(image.as_float().mean(), rel=1e-4)
 
 
+def test_capture_draws_fresh_noise_without_seed(workdir, tmp_path, capsys):
+    shots = [tmp_path / "a.pgm", tmp_path / "b.pgm"]
+    for shot in shots:
+        code, _, _ = run_cli(capsys, "capture", "--token", str(workdir / "tok.puft"),
+                             "--challenge", str(workdir / "c.chal"), "--output", str(shot))
+        assert code == 0
+    assert shots[0].read_bytes() != shots[1].read_bytes()
+
+
 def test_capture_missing_token_file(workdir, tmp_path, capsys):
     code, _, err = run_cli(capsys, "capture", "--token", str(tmp_path / "nope.puft"),
                            "--challenge", str(workdir / "c.chal"),

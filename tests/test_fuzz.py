@@ -106,8 +106,7 @@ def test_parser_contract(parse, blobs):
 
 @pytest.fixture(scope="module")
 def fuzz_service(tmp_path_factory):
-    service = PufService(RecordStore(tmp_path_factory.mktemp("fuzz") / "records"),
-                         hash_cfg=HashConfig(key_len=CODE.n), bch_params=CODE)
+    service = PufService(RecordStore(tmp_path_factory.mktemp("fuzz") / "records"), bch_params=CODE)
     tid = service.add_token(TOKEN)
     blob = tok.challenge_to_bytes(PATTERN)
     reply = service.handle_payload(bytes([OP_ENROLL]) + tid + le("I", len(blob)) + blob)

@@ -6,13 +6,15 @@ the exact enrollment key, and the published record must be independent of
 both the key and the committed secret except through the one-time-pad offset.
 """
 
+import dataclasses
 import itertools
+import struct
 
 import numpy as np
 import pytest
 
 from photonpuf import bch, errors
-from photonpuf.hashing import BitKey, HashConfig, rbm_hash
+from photonpuf.hashing import BitKey, HashConfig, RbmHelper, SvdHelper, rbm_hash
 from photonpuf.protocol import (
     authenticate,
     enroll,
@@ -24,7 +26,7 @@ from photonpuf.protocol import (
     save_record,
     verify,
 )
-from photonpuf.token import random_pattern
+from photonpuf.token import PixelPattern, SpeckleImage, random_pattern
 
 RNG = np.random.default_rng(20260814)
 
@@ -197,12 +199,18 @@ def test_record_container_errors():
         record_from_bytes(blob[:4] + b"\x42\x00" + blob[6:])
     with pytest.raises(errors.TruncatedError):
         record_from_bytes(blob[:-5])
+    # a stored BCH polynomial that is irreducible but not primitive
+    _, record = enroll(img, HashConfig(key_len=255), bch.bch_new(8, 4), rng_seed=11)
+    blob = bytearray(record_to_bytes(record))
+    at = blob.index(b"PUFB") + 9                 # after magic, version, m and t
+    blob[at:at + 4] = struct.pack("<I", 0x11B)
+    with pytest.raises(ValueError):
+        record_from_bytes(bytes(blob))
 
 
 def test_record_field_validation():
     img = fresh_image(np.random.default_rng(34))
     key, record = enroll(img, CFG15, PARAMS15, rng_seed=12)
-    import dataclasses
     with pytest.raises(ValueError):
         dataclasses.replace(record, record_id=b"short")
     with pytest.raises(ValueError):
@@ -212,3 +220,29 @@ def test_record_field_validation():
     bad_algo = dataclasses.replace(record, digest_algo=9)
     with pytest.raises(ValueError):
         verify(key, bad_algo)
+
+
+_, RECORD15 = enroll(fresh_image(np.random.default_rng(35)), CFG15, PARAMS15, rng_seed=13)
+
+# source array, the container built from it, and the field that holds its copy
+FROZEN_CONTAINERS = {
+    "BitKey": (np.array([1, 0, 1, 1], np.uint8), BitKey, "bits"),
+    "RbmHelper": (np.ones(16, np.int8), lambda a: RbmHelper(a, [0, 3], (4, 4)), "signs"),
+    "SvdHelper": (np.zeros((2, 2), np.uint32),
+                  lambda a: SvdHelper(2, 1, a, [[0, 0]], [0], (4, 4)), "stage1_origins"),
+    "PixelPattern": (np.eye(4, dtype=np.uint8), PixelPattern, "mask"),
+    "SpeckleImage": (np.arange(16, dtype=np.uint8).reshape(4, 4), SpeckleImage, "pixels"),
+    "EnrollmentRecord": (np.zeros(15, np.uint8),
+                         lambda a: dataclasses.replace(RECORD15, code_offset=a), "code_offset"),
+}
+
+
+@pytest.mark.parametrize("name", FROZEN_CONTAINERS)
+def test_frozen_containers_own_their_arrays(name):
+    source, build, field = FROZEN_CONTAINERS[name]
+    source = source.copy()
+    obj = build(source)
+    before, hashed = getattr(obj, field).tobytes(), hash(obj)
+    source.flat[0] += 1                          # the caller's array stays writable
+    assert getattr(obj, field).tobytes() == before
+    assert hash(obj) == hashed

@@ -48,8 +48,7 @@ pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptio
 
 def make_service(tmp_path, **kw):
     store = RecordStore(tmp_path / "records")
-    service = PufService(store, bch_params=bch.bch_new(4, 3),
-                         hash_cfg=HashConfig(algo="rbm", key_len=15, rng_seed=0), **kw)
+    service = PufService(store, bch_params=bch.bch_new(4, 3), **kw)
     token = new_token(1, grid_dims=(8, 8), out_dims=(32, 32))
     tid = service.add_token(token)
     return service, tid
@@ -285,25 +284,17 @@ def test_random_reply_layout(tmp_path, counted_entropy):
 
 
 def test_random_without_tokens(tmp_path):
-    service = PufService(RecordStore(tmp_path / "r"), bch_params=bch.bch_new(4, 3),
-                         hash_cfg=HashConfig(algo="rbm", key_len=15))
+    service = PufService(RecordStore(tmp_path / "r"), bch_params=bch.bch_new(4, 3))
     reply = service.handle_payload(bytes([OP_RANDOM]) + le("I", 10))
     assert parse_error(reply)[0] == ERR_NOT_FOUND
 
 
 def test_random_on_a_token_too_small_to_extract(tmp_path):
     # a 1x2 camera has no bins to draw from: an input error, not an internal one
-    service = PufService(RecordStore(tmp_path / "r"), bch_params=bch.bch_new(4, 3),
-                         hash_cfg=HashConfig(algo="rbm", key_len=15))
+    service = PufService(RecordStore(tmp_path / "r"), bch_params=bch.bch_new(4, 3))
     service.add_token(new_token(1, grid_dims=(2, 2), out_dims=(1, 2)))
     reply = service.handle_payload(bytes([OP_RANDOM]) + le("I", 8))
     assert parse_error(reply)[0] == ERR_BAD_FRAME
-
-
-def test_service_validates_key_length(tmp_path):
-    with pytest.raises(ValueError):
-        PufService(RecordStore(tmp_path / "r"), bch_params=bch.bch_new(4, 3),
-                   hash_cfg=HashConfig(algo="rbm", key_len=255))
 
 
 # ---------------------------------------------------------------- loopback TCP

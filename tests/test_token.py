@@ -413,8 +413,9 @@ def test_hostile_token_sizes_rejected_before_drawing():
     assert 256 * 128 * 128 * 4 <= tok.MAX_FIELD_ELEMENTS
     with pytest.raises(ValueError, match="exceeds"):
         tok.TokenModel(1, "diffuser", (1, 1), (1, tok.MAX_FIELD_ELEMENTS + 1), 2000.0, 0.0)
-    for decorr, grain in ((math.nan, 1.5), (math.inf, 1.5), (2000.0, math.nan), (2000.0, 4.5),
-                          (2000.0, 1e160)):
+    # a decorrelation length below ~7e-12 pm needs more than 64 bisection levels
+    for decorr, grain in ((math.nan, 1.5), (math.inf, 1.5), (5e-324, 1.5), (1e-300, 1.5),
+                          (2000.0, math.nan), (2000.0, 4.5), (2000.0, 1e160)):
         with pytest.raises(ValueError):
             tok.TokenModel(1, "diffuser", (2, 2), (4, 4), decorr, grain)
     tok.TokenModel(1, "diffuser", (2, 2), (4, 4), 2000.0, 4.0)   # grain up to the camera size
