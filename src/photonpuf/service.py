@@ -17,6 +17,7 @@ restarts the parse.
 
 from __future__ import annotations
 
+import logging
 import os
 import secrets
 import socket
@@ -77,6 +78,8 @@ ERR_NOT_FOUND = 2
 ERR_INTERNAL = 3
 
 ERROR_NAMES = {ERR_BAD_FRAME: "bad_frame", ERR_NOT_FOUND: "not_found", ERR_INTERNAL: "internal"}
+
+_log = logging.getLogger(__name__)
 
 MAX_FRAME = 1 << 22  # 4 MiB; far above any legitimate message
 MAX_RANDOM_BITS = 1 << 20
@@ -205,7 +208,8 @@ class PufService:
             return error_payload(ERR_NOT_FOUND, f"unknown id {exc.args[0]}")
         except (FormatError, ValueError, struct.error, IndexError) as exc:
             return error_payload(ERR_BAD_FRAME, str(exc))
-        except Exception as exc:  # pragma: no cover - defensive catch-all
+        except Exception as exc:  # defensive catch-all: keep serving, leave a trace
+            _log.exception("internal error in op 0x%02x: %s", op, type(exc).__name__)
             return error_payload(ERR_INTERNAL, f"{type(exc).__name__}: {exc}")
 
     def _handle_enroll(self, payload: bytes) -> bytes:

@@ -15,12 +15,19 @@ then have field correlation exactly exponential in their separation, and a
 query costs one seeded draw per level with no state kept between queries.
 
 Both axes share one capture pipeline. A challenge lights source rows (one
-per on pixel of a mask, or one full field for a wavelength); phase drift
-multiplies each row by ``exp(j phi)`` with ``phi ~ N(0, sigma)`` before the
-coherent sum, where ``sigma`` grows linearly with the thermal offset. Grain,
-optional vibration jitter (a translation by roughly one resonant amplitude
-in a random direction, sub-pixel offsets included), additive camera noise
-on the scaled intensity and quantization follow.
+per on pixel of a mask, or one full field for a wavelength), and phase drift
+of width ``sigma``, growing linearly with the thermal offset, perturbs each
+row by ``exp(j phi)`` with ``phi ~ N(0, sigma)`` before the coherent sum.
+The drift is drawn in one of two regimes. Below ``_GAUSSIAN_DRIFT_MIN_ROWS``
+lit rows (a wavelength, sparse masks) every row and camera pixel gets its own
+phase. With more rows the drifted sum at each pixel is, by the central limit
+theorem, circular Gaussian around ``c * sum_r a_r`` with variance
+``(1 - c^2) * sum_r |a_r|^2``, ``c = exp(-sigma^2 / 2)``, so one complex
+normal per pixel replaces the per-row phases and both sums are
+matrix-vector products over the mask weights. Grain, optional vibration
+jitter (a translation by roughly one resonant amplitude in a random
+direction, sub-pixel offsets included), additive camera noise on the scaled
+intensity and quantization follow.
 """
 
 from __future__ import annotations
@@ -95,6 +102,11 @@ _MAX_BRIDGE_LEVELS = 64
 _MIN_DECORRELATION_PM = (
     (TUNING_RANGE_NM[1] - TUNING_RANGE_NM[0]) * 1000.0 * _BRIDGE_RESOLUTION
     / 2.0 ** _MAX_BRIDGE_LEVELS)
+
+# lit rows from which capture drift is one circular Gaussian per camera pixel;
+# its intensity variance exceeds the per-row draw's by a factor of about
+# 1 + 2/R, under 1.1 from here on (tests/test_token.py pins this)
+_GAUSSIAN_DRIFT_MIN_ROWS = 24
 
 _MAGIC_TOKEN = b"PUFT"
 _TOKEN_VERSION = 1
@@ -238,6 +250,9 @@ class TokenModel:
             rng.standard_normal((n_grid, n_out)) + 1j * rng.standard_normal((n_grid, n_out))
         ) / np.sqrt(2.0)
         self.field_tensor.flags.writeable = False
+        # incoherent row powers |a|^2, the variance weights of the Gaussian drift
+        self.power_tensor = np.abs(self.field_tensor) ** 2
+        self.power_tensor.flags.writeable = False
 
         # gaussian transfer function of the speckle grain, unit mean power
         self.grain_kernel = None
@@ -295,18 +310,12 @@ def token_id(token: TokenModel) -> bytes:
 # ----------------------------------------------------------------------
 # responses
 
-def _source_fields(token: TokenModel, challenge) -> np.ndarray:
-    """Noise-free camera fields of the lit sources, one flattened row each.
-
-    A pixel mask lights one source per on pixel (no rows for an empty mask);
-    a wavelength lights the whole modulator, one row.
-    """
-    if isinstance(challenge, Wavelength):
-        return wavelength_field(token, challenge).reshape(1, -1)
+def _mask_weights(token: TokenModel, challenge) -> np.ndarray:
+    """0/1 weight per modulator pixel: the sources a pixel mask lights."""
     mask = challenge.mask if isinstance(challenge, PixelPattern) else PixelPattern(challenge).mask
     if mask.shape != token.grid_dims:
         raise ValueError(f"mask shape {mask.shape} does not match grid {token.grid_dims}")
-    return token.field_tensor[mask.ravel().astype(bool)]
+    return mask.ravel().astype(np.float64)
 
 
 def pattern_field(token: TokenModel, challenge: PixelPattern) -> np.ndarray:
@@ -315,7 +324,7 @@ def pattern_field(token: TokenModel, challenge: PixelPattern) -> np.ndarray:
     Pure superposition of the stored per-pixel fields; linear in the mask,
     so disjoint masks add: field(a | b) == field(a) + field(b).
     """
-    return _source_fields(token, challenge).sum(axis=0).reshape(token.out_dims)
+    return (_mask_weights(token, challenge) @ token.field_tensor).reshape(token.out_dims)
 
 
 def _bridge_levels(decorrelation_pm: float) -> int:
@@ -421,27 +430,43 @@ def respond(token: TokenModel, challenge: Challenge, noise: NoiseParams | None =
             bit_depth: int = 8) -> SpeckleImage:
     """Capture the speckle image for a pixel-mask or wavelength challenge.
 
-    Every lit source row gets its own phase drift before the coherent sum;
-    ``_capture`` then scales by the row count (at least 1). Identical inputs
-    (including noise_seed) give bit-identical images, and with all noise
-    magnitudes zero the capture is a pure function of token and challenge.
+    Phase drift perturbs the lit source rows before their coherent sum. A
+    wavelength (one row) and masks with fewer than
+    ``_GAUSSIAN_DRIFT_MIN_ROWS`` lit rows draw one phase per row and pixel.
+    Denser masks draw one circular Gaussian per pixel with the same field
+    mean and variance, from the two mask sums over ``field_tensor`` and
+    ``power_tensor``. ``_capture`` then scales by the row count (at least 1).
+    Identical inputs (including noise_seed) give bit-identical images, and
+    with all noise magnitudes zero the capture is a pure function of token
+    and challenge.
     """
     if noise is None:
         noise = NoiseParams.none()
     if not 1 <= bit_depth <= 16:
         raise ValueError("bit_depth must be in 1..16")
-    rows = _source_fields(token, challenge)
     rng = _noise_rng(noise)
     sigma_phi = noise.phase_sigma_total
-    if sigma_phi > 0:
-        # keep rows and phases bound until the sum: releasing them earlier
-        # cost ~45% more page faults across a batch of 16 noisy enrolls
-        phases = rng.normal(0.0, sigma_phi, size=rows.shape)
-        field = (rows * np.exp(1j * phases)).sum(axis=0)
+    rows = None
+    if isinstance(challenge, Wavelength):
+        n_rows, rows = 1, wavelength_field(token, challenge).reshape(1, -1)
     else:
+        weights = _mask_weights(token, challenge)
+        n_rows = int(np.count_nonzero(weights))
+        if sigma_phi > 0 and n_rows < _GAUSSIAN_DRIFT_MIN_ROWS:
+            rows = token.field_tensor[np.flatnonzero(weights)]
+    if rows is not None:
+        if sigma_phi > 0:
+            rows = rows * np.exp(1j * rng.normal(0.0, sigma_phi, size=rows.shape))
         field = rows.sum(axis=0)
+    else:
+        field = weights @ token.field_tensor
+        if sigma_phi > 0:
+            c = math.exp(-0.5 * sigma_phi * sigma_phi)
+            # per complex component: half of (1 - c^2) * sum_r |a_r|^2
+            spread = np.sqrt((0.5 * (1.0 - c * c)) * (weights @ token.power_tensor))
+            field = c * field + spread * rng.standard_normal(2 * field.size).view(np.complex128)
     field = field.reshape(token.out_dims)
-    return _capture(token, field, max(len(rows), 1), noise, bit_depth, rng)
+    return _capture(token, field, max(n_rows, 1), noise, bit_depth, rng)
 
 
 def random_pattern(grid_dims, rng_seed, on_fraction=0.5) -> PixelPattern:

@@ -6,6 +6,7 @@ never dropped, and never kills the server.
 """
 
 import itertools
+import logging
 import os
 import struct
 import sys
@@ -257,6 +258,37 @@ def test_enroll_requires_pattern_challenge(tmp_path):
     blob = challenge_to_bytes(None)
     reply = service.handle_payload(bytes([OP_ENROLL]) + tid + le("I", len(blob)) + blob)
     assert parse_error(reply)[0] == ERR_BAD_FRAME
+
+
+def test_internal_error_is_logged_without_secrets(tmp_path, monkeypatch, caplog):
+    # fail an enroll after the key and record exist: the traceback must reach
+    # the log, and neither the request nor the key material may
+    service, tid = make_service(tmp_path)
+    made = []
+
+    def enroll_then_fail(*args, **kw):
+        made.append(enroll(*args, **kw))
+        raise RuntimeError("injected failure")
+
+    monkeypatch.setattr(svc, "enroll", enroll_then_fail)
+    payload = enroll_msg(tid, chal_blob())
+    caplog.set_level(logging.DEBUG)
+    reply = service.handle_payload(payload)
+    assert parse_error(reply)[0] == ERR_INTERNAL
+
+    (rec,) = [r for r in caplog.records if r.name == svc.__name__]
+    assert rec.levelno == logging.ERROR and rec.exc_info is not None
+    assert f"0x{OP_ENROLL:02x}" in rec.getMessage() and "RuntimeError" in rec.getMessage()
+    assert "injected failure" in caplog.text and "Traceback" in caplog.text
+
+    (key, record), = made
+    offset = BitKey(record.code_offset)
+    secrets_shown = [payload.hex(), repr(payload)[2:-1],
+                     key.to_bytes().hex(), "".join(map(str, key.bits)),
+                     offset.to_bytes().hex(), "".join(map(str, offset.bits))]
+    for line in caplog.text.splitlines():
+        for s in secrets_shown:
+            assert s not in line
 
 
 def test_random_bits_exact_count(tmp_path):

@@ -81,23 +81,27 @@ def test_superposition_is_exact():
     assert np.allclose(field.ravel(), oracle)
 
 
-def test_capture_pipeline_matches_manual_recomputation():
+@pytest.mark.parametrize("bit_depth", [8, 16])
+@pytest.mark.parametrize("grain", [0.0, 1.5])
+@pytest.mark.parametrize("on", [[3, 40, 17], list(range(0, 64, 2))], ids=["3-rows", "half"])
+def test_capture_pipeline_matches_manual_recomputation(on, grain, bit_depth):
     # independent reconstruction of the noiseless capture: superpose rows,
     # low-pass with the grain kernel, square, scale to quarter range, round
-    sigma = 1.5
-    t = make_token(seed=6, grain=sigma)
-    on = [3, 40, 17]
-    img = tok.respond(t, mask_from_indices(t.grid_dims, on), noise=tok.NoiseParams.none())
+    t = make_token(seed=6, grain=grain)
+    img = tok.respond(t, mask_from_indices(t.grid_dims, on), noise=tok.NoiseParams.none(),
+                      bit_depth=bit_depth)
 
     field = t.field_tensor[np.sort(on)].sum(axis=0).reshape(t.out_dims)
-    fy = np.fft.fftfreq(t.out_dims[0])
-    fx = np.fft.fftfreq(t.out_dims[1])
-    h = np.exp(-2.0 * np.pi**2 * sigma**2 * (fy[:, None] ** 2 + fx[None, :] ** 2))
-    h = h / np.sqrt((h**2).mean())
-    smoothed = np.fft.ifft2(np.fft.fft2(field) * h)
-    intensity = np.abs(smoothed) ** 2
-    expected = np.clip(np.floor(intensity * (255.0 / (4.0 * len(on))) + 0.5), 0, 255)
-    assert np.array_equal(img.pixels, expected.astype(np.uint8))
+    if grain > 0:
+        fy = np.fft.fftfreq(t.out_dims[0])
+        fx = np.fft.fftfreq(t.out_dims[1])
+        h = np.exp(-2.0 * np.pi**2 * grain**2 * (fy[:, None] ** 2 + fx[None, :] ** 2))
+        h = h / np.sqrt((h**2).mean())
+        field = np.fft.ifft2(np.fft.fft2(field) * h)
+    intensity = np.abs(field) ** 2
+    qmax = 2**bit_depth - 1
+    expected = np.clip(np.floor(intensity * (qmax / (4.0 * len(on))) + 0.5), 0, qmax)
+    assert np.array_equal(img.pixels, expected)
 
 
 def test_empty_pattern_gives_dark_frame():
@@ -211,6 +215,70 @@ def test_temperature_drift_adds_phase_noise():
     assert tok.NoiseParams(phase_drift_sigma=0.1, delta_T=-2.5).phase_sigma_total == 0.1 + 0.2 * 2.5
 
 
+# phase drift statistics: the capture against an independent Monte Carlo of
+# the drift model itself, one phase per lit row and camera pixel
+
+def per_element_drift(rows, sigma, n_trials, seed):
+    rng = np.random.default_rng(seed)
+    out = np.empty((n_trials, rows.shape[1]))
+    for i in range(n_trials):
+        phases = rng.normal(0.0, sigma, size=rows.shape)
+        out[i] = np.abs((rows * np.exp(1j * phases)).sum(axis=0)) ** 2
+    return out
+
+
+def drift_samples(n_rows, n_trials, out, sigma=0.085):
+    """Noisy 16-bit captures and quantized Monte Carlo intensities, one row per trial."""
+    t = make_token(seed=40, grid=(16, 16), out=out)
+    on = np.sort(np.random.default_rng(n_rows).choice(256, size=n_rows, replace=False))
+    chal = mask_from_indices(t.grid_dims, on)
+    captured = np.stack([
+        tok.respond(t, chal, tok.NoiseParams(intensity_sigma=0.0, phase_drift_sigma=sigma,
+                                             noise_seed=seed), bit_depth=16).as_float().ravel()
+        for seed in range(n_trials)])
+    qmax = 2**16 - 1
+    reference = per_element_drift(t.field_tensor[on], sigma, n_trials, seed=7)
+    reference = np.clip(np.floor(reference * (qmax / (4.0 * n_rows)) + 0.5), 0, qmax)
+    return captured, reference
+
+
+def variance_with_error(x):
+    """Per-pixel variance and the variance of that estimate (fourth moment)."""
+    d = x - x.mean(axis=0)
+    var, m4 = (d**2).mean(axis=0), (d**4).mean(axis=0)
+    return var, (m4 - var**2) / len(x)
+
+
+def drift_variance_ratio(n_rows):
+    captured, reference = drift_samples(n_rows, 200, (64, 64))
+    return captured.var(axis=0).sum() / reference.var(axis=0).sum()
+
+
+@pytest.mark.parametrize("n_rows", [3, 100])
+def test_phase_drift_moments_match_per_element_monte_carlo(n_rows):
+    captured, reference = drift_samples(n_rows, 600, (32, 32))
+    n = len(captured)
+    cv, cv_err = variance_with_error(captured)
+    rv, rv_err = variance_with_error(reference)
+    # the mean intensity is exact in both regimes, pixel by pixel
+    assert np.all(np.abs(captured.mean(axis=0) - reference.mean(axis=0))
+                  <= 6 * np.sqrt((cv + rv) / n))
+    # a circular residual misses each pixel's variance by ~1/sqrt(R): how
+    # the lit rows' phases align with their sum no longer enters
+    gaussian = n_rows >= tok._GAUSSIAN_DRIFT_MIN_ROWS
+    model_err = 4.0 / math.sqrt(n_rows) if gaussian else 0.0
+    assert np.all(np.abs(cv - rv) <= 6 * np.sqrt(cv_err + rv_err) + model_err * rv)
+    assert abs(cv.sum() / rv.sum() - 1.0) < (0.10 if gaussian else 0.03)
+
+
+def test_gaussian_drift_threshold():
+    # the Gaussian regime's excess intensity variance (about 2/R) stays under
+    # 10% from the threshold on; one row below it the exact draw is used
+    at = tok._GAUSSIAN_DRIFT_MIN_ROWS
+    assert 1.03 < drift_variance_ratio(at) < 1.10
+    assert abs(drift_variance_ratio(at - 1) - 1.0) < 0.03
+
+
 def test_translate_mechanics():
     rng = np.random.default_rng(4)
     img = rng.exponential(100.0, size=(32, 48))
@@ -322,7 +390,7 @@ def test_wavelength_correlation_monotone_in_separation():
     assert all(a > b for a, b in zip(ccs, ccs[1:]))
 
 
-def test_wavelength_response_deterministic_and_cached():
+def test_wavelength_capture_independent_of_query_order():
     t = tok.new_token(33, kind="pof", grid_dims=(8, 8), out_dims=(32, 32))
     wl = tok.Wavelength(1555.123)
     a = tok.respond(t, wl, noise=tok.NoiseParams.none())
