@@ -15,10 +15,8 @@ from .hashing import (
     SvdHelper,
     hash_apply,
     hash_enroll,
-    rbm_enroll,
     rbm_hash,
     standardize,
-    svd_enroll,
     svd_hash,
 )
 from .metrics import DistanceReport, cross_correlation, euclidean, fractional_hamming, hamming, overlap

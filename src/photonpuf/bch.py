@@ -264,7 +264,11 @@ def _syndromes(params: BchParams, noisy: np.ndarray):
 
 
 def _berlekamp_massey(params: BchParams, synd):
-    """Shortest LFSR (error locator) generating the syndrome sequence."""
+    """Shortest LFSR (error locator) generating the syndrome sequence.
+
+    Returns ``(locator, L)``. The locator has no trailing zero coefficients,
+    so its degree is ``len(locator) - 1``.
+    """
     field = params._field
     exp, log, n = field.exp, field.log, field.n
     c = [1]
@@ -333,7 +337,7 @@ def decode(params: BchParams, noisy) -> tuple[np.ndarray, int] | None:
         return noisy[: params.k].copy(), 0
 
     locator, n_err = _berlekamp_massey(params, synd)
-    if n_err > params.t or _deg_list(locator) != n_err:
+    if n_err > params.t or len(locator) - 1 != n_err:
         return None
     error_degrees = _chien(params, locator)
     if len(error_degrees) != n_err:
@@ -345,13 +349,6 @@ def decode(params: BchParams, noisy) -> tuple[np.ndarray, int] | None:
     if any(_syndromes(params, corrected)):
         return None
     return corrected[: params.k], n_err
-
-
-def _deg_list(coeffs) -> int:
-    d = len(coeffs) - 1
-    while d > 0 and coeffs[d] == 0:
-        d -= 1
-    return d
 
 
 # ----------------------------------------------------------------------

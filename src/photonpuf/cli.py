@@ -205,8 +205,6 @@ def _cmd_capture(args) -> int:
 
 def _cmd_enroll(args) -> int:
     params = bch.bch_new(args.bch_m, args.bch_t)
-    key_len = args.key_len if args.key_len is not None else params.n
-    cfg = _hash_cfg_from_args(args, key_len)
     if args.image:
         image = load_pgm(args.image)
         challenge = None
@@ -218,7 +216,7 @@ def _cmd_enroll(args) -> int:
         challenge = _load_challenge(args.challenge)
         tid = token_id(token)
         image = respond(token, challenge, noise=_noise_from_args(args))
-    _, record = enroll(image, cfg, params, rng_seed=args.seed, token_id=tid, challenge=challenge)
+    _, record = enroll(image, params, algo=args.algo, token_id=tid, challenge=challenge)
     save_record(record, args.record)
     _emit(
         ("record_id", record.record_id.hex()),
@@ -435,9 +433,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enroll.add_argument("--record", required=True)
     p_enroll.add_argument("--bch-m", type=int, default=8)
     p_enroll.add_argument("--bch-t", type=int, default=31)
-    p_enroll.add_argument("--seed", type=int, default=None,
-                          help="derive the secret and record id from this seed (testing only)")
-    _hash_flags(p_enroll)
+    p_enroll.add_argument("--algo", choices=("rbm", "svd"), default="rbm")
     _noise_flags(p_enroll)
     p_enroll.set_defaults(func=_cmd_enroll)
 

@@ -12,6 +12,9 @@ helper data that lets the same key be re-derived from a noisy recapture:
   whose own block SVD yields the hash vector; cyclic neighbor comparison
   quantizes it. Slower, but keyed to the coarse geometry of the pattern.
 
+A helper is drawn from the image geometry and a mapping seed alone, never
+from pixel values; enrollment draws one and hashes the capture with it, and
+the protocol layer takes that seed from the operating system's CSPRNG.
 Helpers store explicit arrays (signs, indices, block origins), never just the
 seed that generated them, so rehashing does not depend on generator
 reproducibility across versions.
@@ -34,9 +37,8 @@ __all__ = [
     "HashConfig",
     "standardize",
     "rbm_helper",
-    "rbm_enroll",
     "rbm_hash",
-    "svd_enroll",
+    "svd_helper",
     "svd_hash",
     "hash_enroll",
     "hash_apply",
@@ -170,13 +172,6 @@ def rbm_helper(image_dims, key_len: int, rng_seed: int) -> RbmHelper:
     return RbmHelper(signs, indices, (rows, cols))
 
 
-def rbm_enroll(image, key_len: int, rng_seed: int) -> tuple[BitKey, RbmHelper]:
-    """Draw a fresh random mapping for this image geometry and hash once."""
-    arr = _as_pixels(image)
-    helper = rbm_helper(arr.shape, key_len, rng_seed)
-    return rbm_hash(arr, helper), helper
-
-
 def rbm_hash(image, helper: RbmHelper) -> BitKey:
     """Re-derive the key for a (possibly noisy) image with a fixed helper.
 
@@ -260,14 +255,12 @@ def _cyclic_quantize(h: np.ndarray) -> np.ndarray:
     return (h >= np.roll(h, -1)).astype(np.uint8)
 
 
-def svd_enroll(image, key_len: int, rng_seed: int,
-               k1: int = 48, k2: int = 16, p: int = 48, r: int = 32
-               ) -> tuple[BitKey, SvdHelper]:
-    """Draw block origins and hash positions for this geometry, hash once."""
-    arr = _as_pixels(image)
-    n1, n2 = arr.shape
+def svd_helper(image_dims, key_len: int, rng_seed: int,
+               k1: int = 48, k2: int = 16, p: int = 48, r: int = 32) -> SvdHelper:
+    """Draw block origins and hash positions for a geometry; needs only its shape."""
+    n1, n2 = (int(d) for d in image_dims)
     if k1 > min(n1, n2):
-        raise ValueError(f"stage-1 block {k1} exceeds image {arr.shape}")
+        raise ValueError(f"stage-1 block {k1} exceeds image {(n1, n2)}")
     if k2 > min(k1, 2 * p):
         raise ValueError(f"stage-2 block {k2} exceeds feature matrix ({k1} x {2 * p})")
     hash_len = 2 * r * k2
@@ -281,8 +274,7 @@ def svd_enroll(image, key_len: int, rng_seed: int,
         [rng.integers(0, k1 - k2 + 1, size=r), rng.integers(0, 2 * p - k2 + 1, size=r)]
     ).astype(np.uint32)
     indices = rng.choice(hash_len, size=key_len, replace=False).astype(np.uint32)
-    helper = SvdHelper(k1, k2, s1, s2, indices, arr.shape)
-    return svd_hash(arr, helper), helper
+    return SvdHelper(k1, k2, s1, s2, indices, (n1, n2))
 
 
 def svd_hash(image, helper: SvdHelper) -> BitKey:
@@ -316,9 +308,13 @@ class HashConfig:
 
 
 def hash_enroll(image, cfg: HashConfig):
+    """Draw a helper for the image's geometry from ``cfg``, then hash once."""
+    arr = _as_pixels(image)
     if cfg.algo == "rbm":
-        return rbm_enroll(image, cfg.key_len, cfg.rng_seed)
-    return svd_enroll(image, cfg.key_len, cfg.rng_seed, cfg.k1, cfg.k2, cfg.p, cfg.r)
+        helper = rbm_helper(arr.shape, cfg.key_len, cfg.rng_seed)
+    else:
+        helper = svd_helper(arr.shape, cfg.key_len, cfg.rng_seed, cfg.k1, cfg.k2, cfg.p, cfg.r)
+    return hash_apply(arr, helper), helper
 
 
 def hash_apply(image, helper) -> BitKey:

@@ -1,11 +1,14 @@
 """Fuzzy commitment: exact keys and authentication from noisy speckle.
 
-Enrollment hashes a capture into the enrollment key, draws a uniform secret,
-and stores only helper data: the hash helper, the XOR of the key with the
-BCH codeword of the secret (the code offset), and a one-way digest of the
-key. Authentication hashes a fresh capture, strips the code offset, decodes,
-re-encodes, and XORs back; if the two captures disagree in at most ``t`` key
-bits the enrolled key is recovered exactly.
+Enrollment draws a hash helper for the capture's geometry, hashes the capture
+into the enrollment key, draws a uniform secret, and stores only helper data:
+the hash helper, the XOR of the key with the BCH codeword of the secret (the
+code offset), and a one-way digest of the key. The key is as long as the
+code, and the helper's mapping seed, the secret and the record id all come
+from the operating system's CSPRNG. Authentication hashes a fresh capture,
+strips the code offset, decodes, re-encodes, and XORs back; if the two
+captures disagree in at most ``t`` key bits the enrolled key is recovered
+exactly.
 
 Neither the secret nor the enrollment key ever reaches the record: the code
 offset is a one-time-pad style mask and the digest is SHA-256.
@@ -42,8 +45,6 @@ _MAGIC = b"PUFR"
 _VERSION = 1
 DIGEST_SHA256 = 1
 
-_TAG_ENROLL = 0xE14
-
 
 @dataclass(frozen=True, eq=False)
 class EnrollmentRecord:
@@ -74,31 +75,23 @@ def key_digest(key: BitKey) -> bytes:
     return hashlib.sha256(key.to_bytes()).digest()
 
 
-def enroll(image, hash_cfg: HashConfig, bch_params: bch.BchParams,
-           rng_seed: int | None = None, token_id: bytes = b"\x00" * 16,
+def enroll(image, bch_params: bch.BchParams, algo: str = "rbm",
+           token_id: bytes = b"\x00" * 16,
            challenge: Challenge | None = None) -> tuple[BitKey, EnrollmentRecord]:
     """Enroll one capture; returns the (secret) enrollment key and the record.
 
-    The hash length must equal the code length so the code offset covers the
-    whole key. The committed secret and the record id come from the operating
-    system's CSPRNG, so public helper data never reveals how to rebuild them;
-    an explicit ``rng_seed`` derives both from the seed instead, for tests.
+    ``algo`` names the hash ("rbm" or "svd", at its default geometry). The
+    key is ``bch_params.n`` bits long, so the code offset covers all of
+    it. The hash helper's mapping seed, the committed secret and the record
+    id come from the operating system's CSPRNG, so public helper data never
+    reveals how to rebuild them.
     """
-    if hash_cfg.key_len != bch_params.n:
-        raise ValueError(
-            f"hash length {hash_cfg.key_len} must equal code length {bch_params.n}"
-        )
-    enroll_key, helper = hash_enroll(image, hash_cfg)
-    if rng_seed is None:
-        secret = unpack_bits(secrets.token_bytes(packed_size(bch_params.k)), bch_params.k)
-        record_id = secrets.token_bytes(16)
-    else:
-        rng = np.random.default_rng(np.random.SeedSequence([int(rng_seed), _TAG_ENROLL]))
-        secret = rng.integers(0, 2, size=bch_params.k, dtype=np.uint8)
-        record_id = rng.bytes(16)
+    # hash_enroll: a module global that perfbench/tracing.py wraps
+    enroll_key, helper = hash_enroll(image, HashConfig(algo, bch_params.n, secrets.randbits(64)))
+    secret = unpack_bits(secrets.token_bytes(packed_size(bch_params.k)), bch_params.k)
     code_offset = enroll_key.bits ^ bch.encode(bch_params, secret)
     record = EnrollmentRecord(
-        record_id=record_id,
+        record_id=secrets.token_bytes(16),
         token_id=bytes(token_id),
         challenge=challenge,
         hash_helper=helper,

@@ -30,7 +30,6 @@ import numpy as np
 from . import bch
 from ._binio import Reader, le, pack_bits, packed_size, unpack_bits
 from .errors import FormatError
-from .hashing import HashConfig
 from .protocol import (
     EnrollmentRecord,
     authenticate,
@@ -210,7 +209,7 @@ class PufService:
             return error_payload(ERR_BAD_FRAME, str(exc))
         except Exception as exc:  # defensive catch-all: keep serving, leave a trace
             _log.exception("internal error in op 0x%02x: %s", op, type(exc).__name__)
-            return error_payload(ERR_INTERNAL, f"{type(exc).__name__}: {exc}")
+            return error_payload(ERR_INTERNAL, "internal error")
 
     def _handle_enroll(self, payload: bytes) -> bytes:
         r = Reader(payload)
@@ -225,8 +224,7 @@ class PufService:
         if token is None:
             raise KeyError(tid.hex())
         image = respond(token, challenge, noise=self._fresh_noise())
-        cfg = HashConfig(key_len=self.bch_params.n, rng_seed=secrets.randbits(64))
-        _, record = enroll(image, cfg, self.bch_params, token_id=tid, challenge=challenge)
+        _, record = enroll(image, self.bch_params, token_id=tid, challenge=challenge)
         self.store.save(record)
         return bytes([OP_RESULT, OP_ENROLL]) + record.record_id + record.key_digest
 

@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 from photonpuf.cli import main
+from photonpuf.hashing import SvdHelper, helper_to_bytes
+from photonpuf.protocol import load_record
 from photonpuf.service import ServiceClient
 from photonpuf.token import challenge_to_bytes, load_pgm, random_pattern
 
@@ -157,14 +159,42 @@ def test_enroll_auth_accepts_same_token(workdir, tmp_path, capsys):
 
 
 def test_enroll_without_seed_draws_fresh_records(workdir, tmp_path, capsys):
-    ids = []
+    ids, helpers = [], []
     for name in ("a.pufr", "b.pufr"):
         code, kv, _ = run_cli(capsys, "enroll", "--token", str(workdir / "tok.puft"),
                               "--challenge", str(workdir / "c.chal"),
                               "--record", str(tmp_path / name), "--no-noise")
         assert code == 0
         ids.append(kv["record_id"])
+        helpers.append(helper_to_bytes(load_record(tmp_path / name).hash_helper))
     assert ids[0] != ids[1]
+    assert helpers[0] != helpers[1]
+
+
+def test_enroll_seed_flag_is_a_usage_error(workdir, tmp_path):
+    with pytest.raises(SystemExit) as exc:
+        main(["enroll", "--token", str(workdir / "tok.puft"), "--challenge", str(workdir / "c.chal"),
+              "--record", str(tmp_path / "r.pufr"), "--seed", "3"])
+    assert exc.value.code == 2
+    assert not (tmp_path / "r.pufr").exists()
+
+
+def test_enroll_auth_with_svd_hash(tmp_path, capsys):
+    # the block-SVD hash needs 48x48 blocks, so this token has a 64x64 camera
+    token, challenge, record = tmp_path / "big.puft", tmp_path / "c.chal", tmp_path / "svd.pufr"
+    assert main(["token", "new", "--seed", "5", "--grid", "8x8", "--out", "64x64",
+                 "--output", str(token)]) == 0
+    assert main(["challenge", "gen", "--grid", "8x8", "--seed", "4",
+                 "--output", str(challenge)]) == 0
+    capsys.readouterr()
+    code, _, _ = run_cli(capsys, "enroll", "--token", str(token), "--challenge", str(challenge),
+                         "--record", str(record), "--algo", "svd", "--no-noise")
+    assert code == 0
+    assert isinstance(load_record(record).hash_helper, SvdHelper)
+    code, kv, _ = run_cli(capsys, "auth", "--record", str(record), "--token", str(token),
+                          "--no-noise")
+    assert code == 0
+    assert kv["accepted"] == "true" and kv["corrected"] == "0"
 
 
 def test_auth_rejects_different_token(workdir, tmp_path, capsys):

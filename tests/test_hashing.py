@@ -20,15 +20,17 @@ from photonpuf.hashing import (
     hash_enroll,
     helper_from_bytes,
     helper_to_bytes,
-    rbm_enroll,
     rbm_hash,
     rbm_helper,
     standardize,
-    svd_enroll,
     svd_hash,
 )
 
 RNG = np.random.default_rng(20260814)
+
+
+def svd_cfg(key_len, rng_seed, **geometry):
+    return HashConfig(algo="svd", key_len=key_len, rng_seed=rng_seed, **geometry)
 
 
 def random_image(rows=64, cols=64, rng=RNG):
@@ -109,7 +111,7 @@ def test_rbm_helper_indices_distinct():
 
 def test_rbm_enroll_uses_same_mapping_as_helper():
     img = random_image(16, 16)
-    key, helper = rbm_enroll(img, 50, rng_seed=9)
+    key, helper = hash_enroll(img, HashConfig(key_len=50, rng_seed=9))
     assert np.array_equal(helper.signs, rbm_helper((16, 16), 50, 9).signs)
     assert key == rbm_hash(img, helper)
 
@@ -117,7 +119,7 @@ def test_rbm_enroll_uses_same_mapping_as_helper():
 def test_rbm_hash_matches_explicit_dft_sum():
     # independent oracle: X[k] = sum_j s_j y_j exp(-2*pi*i*j*k/N), real part
     img = random_image(4, 4)
-    key, helper = rbm_enroll(img, 16, rng_seed=21)
+    key, helper = hash_enroll(img, HashConfig(key_len=16, rng_seed=21))
     y = standardize(img).ravel() * helper.signs
     n = y.size
     j = np.arange(n)
@@ -130,12 +132,12 @@ def test_rbm_hash_matches_explicit_dft_sum():
 
 def test_rbm_hash_affine_invariant():
     img = random_image(16, 16)
-    key, helper = rbm_enroll(img, 64, rng_seed=4)
+    key, helper = hash_enroll(img, HashConfig(key_len=64, rng_seed=4))
     assert rbm_hash(0.5 * img + 9.0, helper) == key
 
 
 def test_rbm_hash_shape_guard():
-    _, helper = rbm_enroll(random_image(16, 16), 20, rng_seed=1)
+    _, helper = hash_enroll(random_image(16, 16), HashConfig(key_len=20, rng_seed=1))
     with pytest.raises(ValueError):
         rbm_hash(random_image(8, 8), helper)
 
@@ -158,7 +160,7 @@ def test_rbm_helper_validation():
 
 def test_rbm_small_noise_flips_few_bits():
     img = random_image(32, 32)
-    key, helper = rbm_enroll(img, 200, rng_seed=5)
+    key, helper = hash_enroll(img, HashConfig(key_len=200, rng_seed=5))
     noisy = img + RNG.normal(0.0, 0.01 * img.std(), img.shape)
     frac = np.mean(key.bits != rbm_hash(noisy, helper).bits)
     assert frac < 0.1
@@ -223,7 +225,7 @@ def test_cyclic_quantize_by_hand():
 
 def test_svd_vector_structure():
     img = random_image(64, 64)
-    _, helper = svd_enroll(img, 10, rng_seed=6, k1=16, k2=8, p=12, r=6)
+    _, helper = hash_enroll(img, svd_cfg(10, 6, k1=16, k2=8, p=12, r=6))
     h = hashing._svd_vector(standardize(img), helper)
     assert h.shape == (2 * 6 * 8,)
     assert helper.hash_len == h.size
@@ -234,7 +236,7 @@ def test_svd_vector_structure():
 
 def test_svd_hash_matches_manual_pipeline():
     img = random_image(48, 48)
-    key, helper = svd_enroll(img, 40, rng_seed=13, k1=16, k2=8, p=10, r=5)
+    key, helper = hash_enroll(img, svd_cfg(40, 13, k1=16, k2=8, p=10, r=5))
     arr = standardize(img)
     us, vs = [], []
     for r0, c0 in helper.stage1_origins:
@@ -257,16 +259,16 @@ def test_svd_hash_matches_manual_pipeline():
 def test_svd_enroll_validates_geometry():
     img = random_image(24, 24)
     with pytest.raises(ValueError):
-        svd_enroll(img, 10, 0, k1=32)                  # block bigger than image
+        hash_enroll(img, svd_cfg(10, 0, k1=32))                         # block bigger than image
     with pytest.raises(ValueError):
-        svd_enroll(img, 10, 0, k1=16, k2=20, p=10)     # stage-2 exceeds feature rows
+        hash_enroll(img, svd_cfg(10, 0, k1=16, k2=20, p=10))            # stage-2 exceeds feature rows
     with pytest.raises(ValueError):
-        svd_enroll(img, 10_000, 0, k1=16, k2=8, p=10, r=5)  # key longer than hash
+        hash_enroll(img, svd_cfg(10_000, 0, k1=16, k2=8, p=10, r=5))    # key longer than hash
 
 
 def test_svd_origins_inside_bounds():
     img = random_image(64, 64)
-    _, helper = svd_enroll(img, 30, rng_seed=8, k1=16, k2=8, p=40, r=20)
+    _, helper = hash_enroll(img, svd_cfg(30, 8, k1=16, k2=8, p=40, r=20))
     assert helper.stage1_origins.max() <= 64 - 16
     assert (helper.stage2_origins[:, 0] <= 16 - 8).all()
     assert (helper.stage2_origins[:, 1] <= 2 * 40 - 8).all()
@@ -274,7 +276,7 @@ def test_svd_origins_inside_bounds():
 
 def test_svd_hash_affine_invariant():
     img = random_image(48, 48)
-    key, helper = svd_enroll(img, 30, rng_seed=15, k1=16, k2=8, p=10, r=5)
+    key, helper = hash_enroll(img, svd_cfg(30, 15, k1=16, k2=8, p=10, r=5))
     assert svd_hash(2.0 * img + 30.0, helper) == key
 
 
@@ -285,7 +287,7 @@ def test_hash_enroll_dispatch():
     key_r, helper_r = hash_enroll(img, HashConfig(algo="rbm", key_len=63, rng_seed=1))
     assert isinstance(helper_r, RbmHelper)
     assert hash_apply(img, helper_r) == key_r
-    cfg = HashConfig(algo="svd", key_len=63, rng_seed=1, k1=16, k2=8, p=10, r=5)
+    cfg = svd_cfg(63, 1, k1=16, k2=8, p=10, r=5)
     key_s, helper_s = hash_enroll(img, cfg)
     assert isinstance(helper_s, SvdHelper)
     assert hash_apply(img, helper_s) == key_s
@@ -305,7 +307,7 @@ def test_hash_apply_rejects_foreign_object():
 # ---------------------------------------------------------------- serialization
 
 def test_rbm_helper_roundtrip():
-    _, helper = rbm_enroll(random_image(16, 16), 100, rng_seed=3)
+    _, helper = hash_enroll(random_image(16, 16), HashConfig(key_len=100, rng_seed=3))
     back = helper_from_bytes(helper_to_bytes(helper))
     assert np.array_equal(back.signs, helper.signs)
     assert np.array_equal(back.indices, helper.indices)
@@ -313,7 +315,7 @@ def test_rbm_helper_roundtrip():
 
 
 def test_svd_helper_roundtrip():
-    _, helper = svd_enroll(random_image(48, 48), 64, rng_seed=3, k1=16, k2=8, p=10, r=5)
+    _, helper = hash_enroll(random_image(48, 48), svd_cfg(64, 3, k1=16, k2=8, p=10, r=5))
     back = helper_from_bytes(helper_to_bytes(helper))
     assert (back.k1, back.k2) == (16, 8)
     assert np.array_equal(back.stage1_origins, helper.stage1_origins)
@@ -323,7 +325,7 @@ def test_svd_helper_roundtrip():
 
 
 def test_helper_container_errors():
-    _, helper = rbm_enroll(random_image(8, 8), 10, rng_seed=0)
+    _, helper = hash_enroll(random_image(8, 8), HashConfig(key_len=10, rng_seed=0))
     blob = helper_to_bytes(helper)
     with pytest.raises(errors.BadMagicError):
         helper_from_bytes(b"NOPE" + blob[4:])
@@ -339,7 +341,7 @@ def test_helper_container_errors():
 
 def test_roundtrip_preserves_hash():
     img = random_image(32, 32)
-    key, helper = rbm_enroll(img, 120, rng_seed=17)
+    key, helper = hash_enroll(img, HashConfig(key_len=120, rng_seed=17))
     assert rbm_hash(img, helper_from_bytes(helper_to_bytes(helper))) == key
 
 

@@ -5,9 +5,11 @@ and the same connection keeps serving; every malformed payload is answered,
 never dropped, and never kills the server.
 """
 
+import dataclasses
 import itertools
 import logging
 import os
+import secrets
 import struct
 import sys
 import threading
@@ -19,7 +21,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photonpuf import bch, errors, protocol, service as svc
-from photonpuf.hashing import BitKey, HashConfig
+from photonpuf.hashing import BitKey
 from photonpuf.protocol import enroll, key_digest
 from photonpuf.service import (
     ERR_BAD_FRAME,
@@ -60,13 +62,14 @@ def chal_blob(seed=3):
 
 
 class CountingEntropy:
-    """Stands in for ``secrets`` inside the service: seeds 1, 2, 3, ...
+    """Stands in for ``secrets`` in the service and protocol: seeds 1, 2, 3, ...
 
-    The service draws its capture-noise, hash and pattern seeds from the OS,
-    and the small BCH(15, 5, t=3) test code refuses about 1% of genuine
-    auths under fresh default noise. Tests that assert an accept replay one
-    fixed seed sequence instead; the committed secret and the record id
-    still come from the OS.
+    The service draws its capture-noise and pattern seeds, and enrollment its
+    hash mapping seed, from the OS, and the small BCH(15, 5, t=3) test code
+    refuses about 1% of genuine auths under fresh default noise. Tests that
+    assert an accept replay one fixed seed sequence instead, shared by both
+    modules so an enroll takes its noise seed first and its mapping seed
+    second; the committed secret and the record id still come from the OS.
     """
 
     def __init__(self):
@@ -77,10 +80,15 @@ class CountingEntropy:
         with self._lock:
             return next(self._count)
 
+    def token_bytes(self, n):
+        return secrets.token_bytes(n)
+
 
 @pytest.fixture()
 def counted_entropy(monkeypatch):
-    monkeypatch.setattr(svc, "secrets", CountingEntropy())
+    entropy = CountingEntropy()
+    monkeypatch.setattr(svc, "secrets", entropy)
+    monkeypatch.setattr(protocol, "secrets", entropy)
 
 
 # ---------------------------------------------------------------- frame codec
@@ -132,7 +140,7 @@ def test_error_payload_truncates_long_messages():
 def test_record_store_roundtrip(tmp_path):
     store = RecordStore(tmp_path / "records")
     img = np.random.default_rng(0).exponential(size=(16, 16))
-    _, record = enroll(img, HashConfig(algo="rbm", key_len=15), bch.bch_new(4, 3), rng_seed=1)
+    _, record = enroll(img, bch.bch_new(4, 3))
     assert record.record_id not in store
     store.save(record)
     assert record.record_id in store
@@ -145,12 +153,12 @@ def test_record_store_roundtrip(tmp_path):
 
 def test_record_store_refuses_overwrite(tmp_path):
     store = RecordStore(tmp_path / "records")
-    cfg, params = HashConfig(algo="rbm", key_len=15), bch.bch_new(4, 3)
+    params = bch.bch_new(4, 3)
     rng = np.random.default_rng(0)
-    # one seed, two captures: the same record id with different contents
-    _, first = enroll(rng.exponential(size=(16, 16)), cfg, params, rng_seed=1)
-    _, second = enroll(rng.exponential(size=(16, 16)), cfg, params, rng_seed=1)
-    assert first.record_id == second.record_id
+    # two captures under one record id: the same id with different contents
+    _, first = enroll(rng.exponential(size=(16, 16)), params)
+    _, second = enroll(rng.exponential(size=(16, 16)), params)
+    second = dataclasses.replace(second, record_id=first.record_id)
     store.save(first)
     path = tmp_path / "records" / (first.record_id.hex() + ".pufr")
     before = path.read_bytes()
@@ -194,14 +202,15 @@ def enroll_msg(tid, blob):
 
 def test_public_record_does_not_reveal_the_key(tmp_path):
     # guess the small seeds a request counter would hand out, rebuild the
-    # committed secret from each, strip the code offset and check the digest
+    # committed secret from each as the old seeded enroll derived it (tag
+    # 0xE14), strip the code offset and check the digest
     service = PufService(RecordStore(tmp_path / "records"), bch_params=bch.bch_new(8, 31))
     tid = service.add_token(new_token(1, grid_dims=(8, 8), out_dims=(32, 32)))
     reply = service.handle_payload(enroll_msg(tid, chal_blob()))
     record = service.store.load(reply[2:18])
     params = record.bch_params
     for guess in range(1, 10):
-        rng = np.random.default_rng(np.random.SeedSequence([guess, protocol._TAG_ENROLL]))
+        rng = np.random.default_rng(np.random.SeedSequence([guess, 0xE14]))
         secret = rng.integers(0, 2, size=params.k, dtype=np.uint8)
         key = BitKey(record.code_offset ^ bch.encode(params, secret))
         assert key_digest(key) != record.key_digest
@@ -274,7 +283,9 @@ def test_internal_error_is_logged_without_secrets(tmp_path, monkeypatch, caplog)
     payload = enroll_msg(tid, chal_blob())
     caplog.set_level(logging.DEBUG)
     reply = service.handle_payload(payload)
-    assert parse_error(reply)[0] == ERR_INTERNAL
+    code, message = parse_error(reply)
+    assert code == ERR_INTERNAL
+    assert "injected failure" not in message
 
     (rec,) = [r for r in caplog.records if r.name == svc.__name__]
     assert rec.levelno == logging.ERROR and rec.exc_info is not None
