@@ -10,7 +10,6 @@ helpers quantify robustness, unpredictability, unclonability and randomness.
 from .bch import BchParams, bch_new, decode, encode
 from .hashing import (
     BitKey,
-    HashConfig,
     RbmHelper,
     SvdHelper,
     hash_apply,
@@ -20,7 +19,7 @@ from .hashing import (
     svd_hash,
 )
 from .metrics import DistanceReport, cross_correlation, euclidean, fractional_hamming, hamming, overlap
-from .campaign import Campaign, CampaignResult, TokenSpec, run_campaign, success_curve
+from .campaign import Campaign, CampaignResult, run_campaign, success_curve
 from .protocol import (
     EnrollmentRecord,
     authenticate,

@@ -7,55 +7,37 @@ shapes and reduces the responses to distance reports:
   are taken between the first (reference) capture and every later one,
   mirroring how authentication compares field captures to the enrolled key.
 * unpredictability: one token, many challenges; same reference scheme.
-* unclonability: many tokens, one challenge; same reference scheme.
+* unclonability: many tokens, one challenge; same reference scheme. The
+  other tokens are built from their seeds with the reference token's
+  geometry (kind, grid, camera, decorrelation length and grain).
 
-When a hash configuration is supplied the same pairing is applied to hash
-keys (helper enrolled on the reference), yielding Hamming reports next to the
-Euclidean and correlation ones.
+When a hash helper is supplied (one drawn for the token's camera geometry,
+for example with ``hashing.draw_helper``), every capture is hashed with it
+and the same pairing yields a Hamming report next to the Euclidean and
+correlation ones.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import metrics
-from .hashing import HashConfig, hash_apply, hash_enroll
-from .token import NoiseParams, TokenModel, new_token, respond
+from .hashing import hash_apply
+from .token import NoiseParams, TokenModel, respond
 
-__all__ = ["TokenSpec", "Campaign", "CampaignResult", "run_campaign", "success_curve", "SuccessCurve"]
+__all__ = ["Campaign", "CampaignResult", "run_campaign", "success_curve", "SuccessCurve"]
 
 KINDS = ("robustness", "unpredictability", "unclonability")
 
 
 @dataclass(frozen=True)
-class TokenSpec:
-    """Geometry shared by every token a campaign instantiates."""
-
-    kind: str = "diffuser"
-    grid_dims: tuple = (16, 16)
-    out_dims: tuple = (128, 128)
-    speckle_grain: float = 1.5
-    wl_decorrelation_length: float | None = None
-
-    def build(self, seed: int) -> TokenModel:
-        return new_token(
-            seed,
-            kind=self.kind,
-            grid_dims=self.grid_dims,
-            out_dims=self.out_dims,
-            wl_decorrelation_length=self.wl_decorrelation_length,
-            speckle_grain=self.speckle_grain,
-        )
-
-
-@dataclass(frozen=True)
 class Campaign:
     kind: str
-    token_spec: TokenSpec
-    token_seeds: tuple
+    token: TokenModel                   # the reference token
     challenges: tuple
+    other_token_seeds: tuple = ()       # unclonability only
     noise: NoiseParams = field(default_factory=NoiseParams)
     repeats: int = 2
     # noise for the reference capture only (think: enrollment on a quiet
@@ -65,16 +47,18 @@ class Campaign:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"campaign kind must be one of {KINDS}")
-        object.__setattr__(self, "token_seeds", tuple(self.token_seeds))
         object.__setattr__(self, "challenges", tuple(self.challenges))
-        if not self.token_seeds or not self.challenges:
-            raise ValueError("need at least one token seed and one challenge")
+        object.__setattr__(self, "other_token_seeds", tuple(self.other_token_seeds))
+        if not self.challenges:
+            raise ValueError("need at least one challenge")
+        if self.other_token_seeds and self.kind != "unclonability":
+            raise ValueError("only an unclonability campaign takes other token seeds")
         if self.kind == "robustness" and self.repeats < 2:
             raise ValueError("robustness needs at least two captures")
         if self.kind == "unpredictability" and len(self.challenges) < 2:
             raise ValueError("unpredictability needs at least two challenges")
-        if self.kind == "unclonability" and len(self.token_seeds) < 2:
-            raise ValueError("unclonability needs at least two token seeds")
+        if self.kind == "unclonability" and not self.other_token_seeds:
+            raise ValueError("unclonability needs at least one other token seed")
 
 
 @dataclass
@@ -87,7 +71,7 @@ class CampaignResult:
 
 def _campaign_images(campaign: Campaign):
     """Captures for the campaign, reference first."""
-    spec = campaign.token_spec
+    token = campaign.token
     noise = campaign.noise
 
     def _noise_for(i: int) -> NoiseParams:
@@ -96,21 +80,17 @@ def _campaign_images(campaign: Campaign):
             return ref.with_seed(ref.noise_seed + noise.noise_seed)
         return noise.with_seed(noise.noise_seed + i)
 
-    images = []
     if campaign.kind == "robustness":
-        token = spec.build(campaign.token_seeds[0])
         challenge = campaign.challenges[0]
-        for i in range(campaign.repeats):
-            images.append(respond(token, challenge, _noise_for(i)))
-    elif campaign.kind == "unpredictability":
-        token = spec.build(campaign.token_seeds[0])
-        for i, challenge in enumerate(campaign.challenges):
-            images.append(respond(token, challenge, _noise_for(i)))
-    else:
-        challenge = campaign.challenges[0]
-        for i, seed in enumerate(campaign.token_seeds):
-            token = spec.build(seed)
-            images.append(respond(token, challenge, _noise_for(i)))
+        return [respond(token, challenge, _noise_for(i)) for i in range(campaign.repeats)]
+    if campaign.kind == "unpredictability":
+        return [respond(token, c, _noise_for(i)) for i, c in enumerate(campaign.challenges)]
+    challenge = campaign.challenges[0]
+    images = [respond(token, challenge, _noise_for(0))]
+    for i, seed in enumerate(campaign.other_token_seeds, start=1):
+        # one other token alive at a time: a default token holds ~96 MB
+        other = TokenModel(seed, *token.descriptor()[1:])
+        images.append(respond(other, challenge, _noise_for(i)))
     return images
 
 
@@ -119,7 +99,7 @@ def _pairs(n: int):
     return [(0, i) for i in range(1, n)]
 
 
-def run_campaign(campaign: Campaign, hash_cfg: HashConfig | None = None) -> CampaignResult:
+def run_campaign(campaign: Campaign, helper=None) -> CampaignResult:
     images = _campaign_images(campaign)
     pairs = _pairs(len(images))
 
@@ -128,8 +108,7 @@ def run_campaign(campaign: Campaign, hash_cfg: HashConfig | None = None) -> Camp
     cc = [metrics.cross_correlation(floats[i], floats[j]) for i, j in pairs]
 
     hd_report = None
-    if hash_cfg is not None:
-        _, helper = hash_enroll(images[0], hash_cfg)
+    if helper is not None:
         keys = [hash_apply(img, helper) for img in images]
         hd = [metrics.fractional_hamming(keys[i], keys[j]) for i, j in pairs]
         hd_report = metrics.DistanceReport.from_values(

@@ -16,8 +16,8 @@ import sys
 import numpy as np
 
 from . import bch
-from .campaign import Campaign, TokenSpec, run_campaign, success_curve
-from .hashing import BitKey, HashConfig, hash_apply, hash_enroll
+from .campaign import Campaign, run_campaign, success_curve
+from .hashing import BitKey, draw_helper, hash_apply, hash_enroll
 from .protocol import authenticate, enroll, load_record, save_record, verify
 from .randomness import ALL_TESTS, nist_test, suite_report
 from .service import DEFAULT_FRAME_TIMEOUT, PufService, RecordStore, random_bits, serve_forever
@@ -25,7 +25,6 @@ from .token import (
     KINDS,
     NoiseParams,
     PixelPattern,
-    TokenModel,
     Wavelength,
     challenge_from_bytes,
     challenge_to_bytes,
@@ -104,33 +103,6 @@ def _hash_flags(parser: argparse.ArgumentParser, default_key_len=None):
     g = parser.add_argument_group("hashing")
     g.add_argument("--algo", choices=("rbm", "svd"), default="rbm")
     g.add_argument("--key-len", type=int, default=default_key_len)
-    g.add_argument("--hash-seed", type=int, default=0)
-    g.add_argument("--svd-block1", type=int, default=48, metavar="K1")
-    g.add_argument("--svd-block2", type=int, default=16, metavar="K2")
-    g.add_argument("--svd-count1", type=int, default=48, metavar="P")
-    g.add_argument("--svd-count2", type=int, default=32, metavar="R")
-
-
-def _hash_cfg_from_args(args, key_len: int) -> HashConfig:
-    return HashConfig(
-        algo=args.algo,
-        key_len=key_len,
-        rng_seed=args.hash_seed,
-        k1=args.svd_block1,
-        k2=args.svd_block2,
-        p=args.svd_count1,
-        r=args.svd_count2,
-    )
-
-
-def _spec_of(token: TokenModel) -> TokenSpec:
-    return TokenSpec(
-        kind=token.kind,
-        grid_dims=token.grid_dims,
-        out_dims=token.out_dims,
-        speckle_grain=token.speckle_grain,
-        wl_decorrelation_length=token.wl_decorrelation_length,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -251,29 +223,24 @@ def _cmd_auth(args) -> int:
 
 def _eval_campaign(args, kind: str) -> int:
     token = load_token(args.token)
-    spec = _spec_of(token)
-    noise = _noise_from_args(args)
-    if kind == "robustness":
-        challenges = (_load_challenge(args.challenge),)
-        seeds = (token.token_seed,)
-    elif kind == "unpredictability":
+    if kind == "unpredictability":
         challenges = tuple(
             random_pattern(token.grid_dims, args.seed + i) for i in range(args.challenges)
         )
-        seeds = (token.token_seed,)
     else:
         challenges = (_load_challenge(args.challenge),)
-        seeds = (token.token_seed,) + tuple(args.seed + i for i in range(args.tokens - 1))
+    others = tuple(args.seed + i for i in range(args.tokens - 1)) if kind == "unclonability" else ()
     campaign = Campaign(
         kind=kind,
-        token_spec=spec,
-        token_seeds=seeds,
+        token=token,
         challenges=challenges,
-        noise=noise,
+        other_token_seeds=others,
+        noise=_noise_from_args(args),
         repeats=getattr(args, "repeats", 2),
     )
-    hash_cfg = None if args.no_hash else _hash_cfg_from_args(args, args.key_len or 255)
-    result = run_campaign(campaign, hash_cfg=hash_cfg)
+    # mapping seed 0: every eval of one token hashes with the same mapping
+    helper = None if args.no_hash else draw_helper(args.algo, token.out_dims, args.key_len, 0)
+    result = run_campaign(campaign, helper)
 
     pairs = [("kind", kind), ("pairs", result.euclidean.count)]
     reports = [("euclidean", result.euclidean), ("correlation", result.correlation)]
@@ -296,13 +263,12 @@ def _cmd_eval_success_curve(args) -> int:
     token = load_token(args.token)
     params = bch.bch_new(args.bch_m, args.bch_t)
     key_len = args.key_len if args.key_len is not None else params.n
-    cfg = _hash_cfg_from_args(args, key_len)
     noise = _noise_from_args(args)
     enroll_keys, auth_keys = [], []
     for i in range(args.enrollments):
         challenge = random_pattern(token.grid_dims, args.seed + i)
         image = respond(token, challenge, noise=noise.with_seed(noise.noise_seed + 1000 * i))
-        key, helper = hash_enroll(image, dataclasses.replace(cfg, rng_seed=args.hash_seed + i))
+        key, helper = hash_enroll(image, args.algo, key_len, i)
         for j in range(args.auths):
             noisy = respond(token, challenge, noise=noise.with_seed(noise.noise_seed + 1000 * i + j + 1))
             enroll_keys.append(key)

@@ -12,9 +12,11 @@ helper data that lets the same key be re-derived from a noisy recapture:
   whose own block SVD yields the hash vector; cyclic neighbor comparison
   quantizes it. Slower, but keyed to the coarse geometry of the pattern.
 
-A helper is drawn from the image geometry and a mapping seed alone, never
-from pixel values; enrollment draws one and hashes the capture with it, and
-the protocol layer takes that seed from the operating system's CSPRNG.
+``draw_helper`` draws a helper for a named algorithm from the image geometry,
+the key length and a mapping seed alone, never from pixel values (SVD at its
+default block geometry; ``svd_helper``'s keywords are the one place to set
+another). ``hash_enroll`` draws one and hashes the capture with it; the
+protocol layer takes that seed from the operating system's CSPRNG.
 Helpers store explicit arrays (signs, indices, block origins), never just the
 seed that generated them, so rehashing does not depend on generator
 reproducibility across versions.
@@ -22,7 +24,7 @@ reproducibility across versions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,12 +36,12 @@ __all__ = [
     "BitKey",
     "RbmHelper",
     "SvdHelper",
-    "HashConfig",
     "standardize",
     "rbm_helper",
     "rbm_hash",
     "svd_helper",
     "svd_hash",
+    "draw_helper",
     "hash_enroll",
     "hash_apply",
     "helper_to_bytes",
@@ -207,12 +209,25 @@ class SvdHelper:
         idx = frozen_array(self.indices, np.uint32).ravel()
         if s1.ndim != 2 or s1.shape[1] != 2 or s2.ndim != 2 or s2.shape[1] != 2:
             raise ValueError("origins must be (count, 2) arrays")
+        if s1.shape[0] == 0 or s2.shape[0] == 0:
+            raise ValueError("need at least one block origin per stage")
+        k1, k2 = int(self.k1), int(self.k2)
+        if k1 < 1 or k2 < 1:
+            raise ValueError("block sizes must be positive")
+        dims = (int(self.image_dims[0]), int(self.image_dims[1]))
+        # int64 sums: a uint32 origin plus a block size must not wrap around
+        if np.any(s1.astype(np.int64) + k1 > dims):
+            raise ValueError("stage-1 block outside the image")
+        if np.any(s2.astype(np.int64) + k2 > (k1, 2 * s1.shape[0])):
+            raise ValueError("stage-2 block outside the feature matrix")
+        if idx.size == 0 or idx.max() >= 2 * s2.shape[0] * k2:
+            raise ValueError("need at least one selected index, each below hash_len")
         object.__setattr__(self, "stage1_origins", s1)
         object.__setattr__(self, "stage2_origins", s2)
         object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "image_dims", (int(self.image_dims[0]), int(self.image_dims[1])))
-        object.__setattr__(self, "k1", int(self.k1))
-        object.__setattr__(self, "k2", int(self.k2))
+        object.__setattr__(self, "image_dims", dims)
+        object.__setattr__(self, "k1", k1)
+        object.__setattr__(self, "k2", k2)
 
     @property
     def key_len(self) -> int:
@@ -288,32 +303,22 @@ def svd_hash(image, helper: SvdHelper) -> BitKey:
 
 
 # ----------------------------------------------------------------------
-# config-driven dispatch
+# dispatch by algorithm name
 
-@dataclass(frozen=True)
-class HashConfig:
-    """Which hash to run and with what geometry."""
-
-    algo: str = "rbm"
-    key_len: int = 255
-    rng_seed: int = 0
-    k1: int = 48
-    k2: int = 16
-    p: int = 48
-    r: int = 32
-
-    def __post_init__(self):
-        if self.algo not in ("rbm", "svd"):
-            raise ValueError(f"unknown hash algo {self.algo!r}")
+_HELPERS = {"rbm": rbm_helper, "svd": svd_helper}
 
 
-def hash_enroll(image, cfg: HashConfig):
-    """Draw a helper for the image's geometry from ``cfg``, then hash once."""
+def draw_helper(algo: str, image_dims, key_len: int, rng_seed: int):
+    """Draw the named algorithm's helper for a geometry (SVD at its defaults)."""
+    if algo not in _HELPERS:
+        raise ValueError(f"unknown hash algo {algo!r}")
+    return _HELPERS[algo](image_dims, key_len, rng_seed)
+
+
+def hash_enroll(image, algo: str, key_len: int, rng_seed: int):
+    """Draw a helper for the image's geometry, then hash the image once."""
     arr = _as_pixels(image)
-    if cfg.algo == "rbm":
-        helper = rbm_helper(arr.shape, cfg.key_len, cfg.rng_seed)
-    else:
-        helper = svd_helper(arr.shape, cfg.key_len, cfg.rng_seed, cfg.k1, cfg.k2, cfg.p, cfg.r)
+    helper = draw_helper(algo, arr.shape, key_len, rng_seed)
     return hash_apply(arr, helper), helper
 
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from . import bch
 from ._binio import Reader, frozen_array, le, pack_bits, packed_size, unpack_bits
-from .hashing import BitKey, HashConfig, hash_apply, hash_enroll, helper_from_bytes, helper_to_bytes
+from .hashing import BitKey, hash_apply, hash_enroll, helper_from_bytes, helper_to_bytes
 from .token import Challenge, challenge_from_bytes, challenge_to_bytes
 
 __all__ = [
@@ -67,6 +67,8 @@ class EnrollmentRecord:
         offset = frozen_array(self.code_offset, np.uint8).ravel()
         if offset.size != self.bch_params.n:
             raise ValueError("code offset length must equal the code length")
+        if self.hash_helper.key_len != self.bch_params.n:
+            raise ValueError("hash helper key length must equal the code length")
         object.__setattr__(self, "code_offset", offset)
 
 
@@ -87,7 +89,7 @@ def enroll(image, bch_params: bch.BchParams, algo: str = "rbm",
     reveals how to rebuild them.
     """
     # hash_enroll: a module global that perfbench/tracing.py wraps
-    enroll_key, helper = hash_enroll(image, HashConfig(algo, bch_params.n, secrets.randbits(64)))
+    enroll_key, helper = hash_enroll(image, algo, bch_params.n, secrets.randbits(64))
     secret = unpack_bits(secrets.token_bytes(packed_size(bch_params.k)), bch_params.k)
     code_offset = enroll_key.bits ^ bch.encode(bch_params, secret)
     record = EnrollmentRecord(

@@ -13,17 +13,16 @@ import photonpuf.campaign as campaign_mod
 from photonpuf.campaign import (
     Campaign,
     SuccessCurve,
-    TokenSpec,
     run_campaign,
     success_curve,
     _pairs,
 )
-from photonpuf.hashing import BitKey, HashConfig
-from photonpuf.token import NoiseParams, random_pattern
+from photonpuf.hashing import BitKey, draw_helper
+from photonpuf.token import NoiseParams, new_token, random_pattern, respond
 
 
-def small_spec():
-    return TokenSpec(grid_dims=(8, 8), out_dims=(48, 48), speckle_grain=0.0)
+def small_token(seed):
+    return new_token(seed, grid_dims=(8, 8), out_dims=(48, 48), speckle_grain=0.0)
 
 
 def mild_noise():
@@ -35,19 +34,22 @@ def mild_noise():
 def test_campaign_kind_validated():
     chal = random_pattern((8, 8), 0)
     with pytest.raises(ValueError):
-        Campaign("durability", small_spec(), (1,), (chal,))
+        Campaign("durability", small_token(1), (chal,))
 
 
 def test_campaign_requires_enough_material():
     chal = random_pattern((8, 8), 0)
+    token = small_token(1)
     with pytest.raises(ValueError):
-        Campaign("robustness", small_spec(), (1,), (chal,), repeats=1)
+        Campaign("robustness", token, (chal,), repeats=1)
     with pytest.raises(ValueError):
-        Campaign("unpredictability", small_spec(), (1,), (chal,))
+        Campaign("unpredictability", token, (chal,))
     with pytest.raises(ValueError):
-        Campaign("unclonability", small_spec(), (1,), (chal,))
+        Campaign("unclonability", token, (chal,))
     with pytest.raises(ValueError):
-        Campaign("robustness", small_spec(), (), (chal,))
+        Campaign("robustness", token, ())
+    with pytest.raises(ValueError):
+        Campaign("robustness", token, (chal,), other_token_seeds=(2,))
 
 
 def test_pairs_reference_vs_rest():
@@ -59,7 +61,7 @@ def test_pairs_reference_vs_rest():
 
 def test_robustness_counts_and_determinism():
     chal = random_pattern((8, 8), 1)
-    camp = Campaign("robustness", small_spec(), (3,), (chal,),
+    camp = Campaign("robustness", small_token(3), (chal,),
                     noise=mild_noise(), repeats=5)
     res1 = run_campaign(camp)
     res2 = run_campaign(camp)
@@ -71,14 +73,14 @@ def test_robustness_counts_and_determinism():
 
 def test_unpredictability_counts():
     chals = tuple(random_pattern((8, 8), s) for s in range(7))
-    camp = Campaign("unpredictability", small_spec(), (3,), chals, noise=mild_noise())
+    camp = Campaign("unpredictability", small_token(3), chals, noise=mild_noise())
     res = run_campaign(camp)
     assert res.euclidean.count == 6            # reference vs the other six
 
 
 def test_unclonability_counts():
     chal = random_pattern((8, 8), 1)
-    camp = Campaign("unclonability", small_spec(), tuple(range(6)), (chal,),
+    camp = Campaign("unclonability", small_token(0), (chal,), other_token_seeds=range(1, 6),
                     noise=mild_noise())
     res = run_campaign(camp)
     assert res.correlation.count == 5
@@ -86,24 +88,21 @@ def test_unclonability_counts():
 
 def test_hash_report_attached_when_configured():
     chal = random_pattern((8, 8), 1)
-    camp = Campaign("robustness", small_spec(), (3,), (chal,),
+    camp = Campaign("robustness", small_token(3), (chal,),
                     noise=mild_noise(), repeats=4)
-    res = run_campaign(camp, HashConfig(algo="rbm", key_len=128, rng_seed=0))
+    res = run_campaign(camp, draw_helper("rbm", (48, 48), 128, 0))
     assert res.hash_hamming is not None
     assert res.hash_hamming.count == 3
     assert 0.0 <= res.hash_hamming.mean <= 1.0
 
 
 def test_reference_noise_applies_to_first_capture_only():
-    from photonpuf.token import respond
-
     chal = random_pattern((8, 8), 1)
-    spec = small_spec()
+    token = small_token(3)
     noisy = NoiseParams(intensity_sigma=0.08, phase_drift_sigma=0.2, noise_seed=11)
-    camp = Campaign("robustness", spec, (3,), (chal,), noise=noisy, repeats=3,
+    camp = Campaign("robustness", token, (chal,), noise=noisy, repeats=3,
                     reference_noise=NoiseParams.none())
     images = campaign_mod._campaign_images(camp)
-    token = spec.build(3)
     clean = respond(token, chal, NoiseParams.none())
     assert np.array_equal(images[0].pixels, clean.pixels)
     # later captures still carry the field noise
@@ -113,14 +112,14 @@ def test_reference_noise_applies_to_first_capture_only():
 
 def test_regime_ordering():
     # same stimulus repeats < different challenges <= different tokens
-    spec = small_spec()
+    token = small_token(1)
     noise = mild_noise()
     chals = tuple(random_pattern((8, 8), s, on_fraction=0.5) for s in range(9))
-    rob = run_campaign(Campaign("robustness", spec, (1,), chals[:1],
+    rob = run_campaign(Campaign("robustness", token, chals[:1],
                                 noise=noise, repeats=8))
-    unp = run_campaign(Campaign("unpredictability", spec, (1,), chals, noise=noise))
-    unc = run_campaign(Campaign("unclonability", spec, tuple(range(2, 11)),
-                                chals[:1], noise=noise))
+    unp = run_campaign(Campaign("unpredictability", token, chals, noise=noise))
+    unc = run_campaign(Campaign("unclonability", small_token(2), chals[:1],
+                                other_token_seeds=range(3, 11), noise=noise))
     assert rob.euclidean.mean < unp.euclidean.mean
     assert rob.correlation.mean > 0.9
     assert abs(unc.correlation.mean) < 0.2
@@ -176,11 +175,25 @@ def test_success_curve_validates_inputs():
         success_curve([], [])
 
 
-def test_token_spec_build_applies_geometry():
-    spec = TokenSpec(kind="pof", grid_dims=(4, 4), out_dims=(32, 32),
-                     speckle_grain=0.0)
-    token = spec.build(9)
-    assert token.kind == "pof"
-    assert token.grid_dims == (4, 4)
-    assert token.out_dims == (32, 32)
-    assert token.field_tensor.shape == (16, 32 * 32)
+def test_unclonability_other_tokens_share_reference_geometry(monkeypatch):
+    reference = new_token(9, kind="pof", grid_dims=(4, 4), out_dims=(32, 32),
+                          wl_decorrelation_length=123.0, speckle_grain=0.0)
+    captured = []
+
+    def recording_respond(token, challenge, noise=None):
+        captured.append(token)
+        return respond(token, challenge, noise)
+
+    monkeypatch.setattr(campaign_mod, "respond", recording_respond)
+    camp = Campaign("unclonability", reference, (random_pattern((4, 4), 1),),
+                    other_token_seeds=(20, 21))
+    campaign_mod._campaign_images(camp)
+    assert captured[0] is reference
+    assert [t.token_seed for t in captured] == [9, 20, 21]
+    for other in captured[1:]:
+        assert other.kind == "pof"
+        assert other.grid_dims == (4, 4)
+        assert other.out_dims == (32, 32)
+        assert other.speckle_grain == 0.0
+        assert other.wl_decorrelation_length == 123.0
+        assert other.field_tensor.shape == (16, 32 * 32)

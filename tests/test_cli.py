@@ -13,11 +13,12 @@ import time
 import numpy as np
 import pytest
 
+from photonpuf import bch
 from photonpuf.cli import main
 from photonpuf.hashing import SvdHelper, helper_to_bytes
-from photonpuf.protocol import load_record
+from photonpuf.protocol import enroll, load_record, record_to_bytes
 from photonpuf.service import ServiceClient
-from photonpuf.token import challenge_to_bytes, load_pgm, random_pattern
+from photonpuf.token import TokenModel, challenge_to_bytes, load_pgm, random_pattern, save_pgm
 
 
 def run_cli(capsys, *argv):
@@ -197,6 +198,21 @@ def test_enroll_auth_with_svd_hash(tmp_path, capsys):
     assert kv["accepted"] == "true" and kv["corrected"] == "0"
 
 
+def test_auth_rejects_record_with_bad_svd_helper(tmp_path, capsys):
+    image = np.random.default_rng(3).integers(0, 256, size=(64, 64), dtype=np.uint8)
+    _, record = enroll(image, bch.bch_new(8, 31), algo="svd")
+    helper_blob = helper_to_bytes(record.hash_helper)
+    blob = record_to_bytes(record)
+    at = blob.index(helper_blob) + len(helper_blob) - 4       # the last selected index
+    (tmp_path / "bad.pufr").write_bytes(
+        blob[:at] + struct.pack("<I", record.hash_helper.hash_len) + blob[at + 4:])
+    save_pgm(image, tmp_path / "x.pgm")
+    code, _, err = run_cli(capsys, "auth", "--record", str(tmp_path / "bad.pufr"),
+                           "--image", str(tmp_path / "x.pgm"))
+    assert code == 1
+    assert err.startswith("error=")
+
+
 def test_auth_rejects_different_token(workdir, tmp_path, capsys):
     record = tmp_path / "rec.pufr"
     assert main(["enroll", "--token", str(workdir / "tok.puft"),
@@ -269,13 +285,51 @@ def test_eval_unclonability(workdir, capsys):
     assert 0.3 < float(kv["hd_mean"]) < 0.7
 
 
-def test_eval_svd_variant(workdir, capsys):
-    code, kv, _ = run_cli(capsys, "eval", "robustness", "--token", str(workdir / "tok.puft"),
+def test_eval_svd_variant(workdir, tmp_path, capsys):
+    # the block-SVD hash at its default geometry needs a camera of at least 48x48
+    token = tmp_path / "big.puft"
+    assert main(["token", "new", "--seed", "5", "--grid", "8x8", "--out", "64x64",
+                 "--output", str(token)]) == 0
+    capsys.readouterr()
+    code, kv, _ = run_cli(capsys, "eval", "robustness", "--token", str(token),
                           "--challenge", str(workdir / "c.chal"), "--repeats", "4",
-                          "--algo", "svd", "--key-len", "20", "--svd-block1", "8",
-                          "--svd-block2", "4", "--svd-count1", "8", "--svd-count2", "4")
+                          "--algo", "svd", "--key-len", "20")
     assert code == 0
     assert "hd_mean" in kv
+
+
+def test_eval_svd_geometry_flag_is_a_usage_error(workdir):
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "robustness", "--token", str(workdir / "tok.puft"),
+              "--challenge", str(workdir / "c.chal"), "--svd-block1", "8"])
+    assert exc.value.code == 2
+
+
+def test_eval_rejects_zero_key_length(workdir, capsys):
+    code, _, err = run_cli(capsys, "eval", "robustness", "--token", str(workdir / "tok.puft"),
+                           "--challenge", str(workdir / "c.chal"), "--repeats", "2",
+                           "--key-len", "0")
+    assert code == 1
+    assert err.startswith("error=")
+
+
+@pytest.mark.parametrize("argv, built", [
+    (("robustness", "--repeats", "2"), 1),
+    (("unclonability", "--tokens", "3"), 3),
+])
+def test_eval_builds_each_token_once(workdir, capsys, monkeypatch, argv, built):
+    count = []
+    init = TokenModel.__init__
+
+    def counting_init(self, *args, **kwargs):
+        count.append(1)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(TokenModel, "__init__", counting_init)
+    code, _, _ = run_cli(capsys, "eval", argv[0], "--token", str(workdir / "tok.puft"),
+                         "--challenge", str(workdir / "c.chal"), *argv[1:])
+    assert code == 0
+    assert len(count) == built
 
 
 def test_eval_success_curve(workdir, tmp_path, capsys):

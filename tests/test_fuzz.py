@@ -19,7 +19,7 @@ from photonpuf import bch
 from photonpuf import token as tok
 from photonpuf._binio import le
 from photonpuf.errors import FormatError
-from photonpuf.hashing import BitKey, HashConfig, hash_enroll, helper_from_bytes, helper_to_bytes
+from photonpuf.hashing import BitKey, helper_from_bytes, helper_to_bytes, rbm_helper, svd_helper
 from photonpuf.protocol import enroll, record_from_bytes, record_to_bytes
 from photonpuf.service import (
     ERR_INTERNAL,
@@ -58,9 +58,8 @@ def hostile(blobs):
 
 TOKEN_BLOBS = [tok.token_to_bytes(tok.new_token(5, kind="pof", grid_dims=(2, 2), out_dims=(4, 4)))]
 CHALLENGE_BLOBS = [tok.challenge_to_bytes(c) for c in (PATTERN, tok.Wavelength(1550.0), None)]
-HELPER_CFGS = [HashConfig(key_len=10, rng_seed=1),
-               HashConfig(algo="svd", key_len=16, rng_seed=1, k1=8, k2=4, p=4, r=2)]
-HELPER_BLOBS = [helper_to_bytes(hash_enroll(IMAGE, cfg)[1]) for cfg in HELPER_CFGS]
+HELPER_BLOBS = [helper_to_bytes(rbm_helper(OUT, 10, 1)),
+                helper_to_bytes(svd_helper(OUT, 16, 1, k1=8, k2=4, p=4, r=2))]
 BCH_BLOBS = [bch.params_to_bytes(CODE), bch.params_to_bytes(bch.bch_new(5, 2))]
 RECORD_BLOBS = [record_to_bytes(enroll(IMAGE, CODE, challenge=PATTERN)[1])]
 KEY_BLOBS = [BitKey([1, 0, 1, 1, 0, 0, 1, 0, 1]).to_bytes()]

@@ -5,6 +5,8 @@ recovers the leading singular pair by power iteration on the Gram matrix, and
 the quantizer is checked on vectors small enough to compare by hand.
 """
 
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,9 +15,9 @@ from hypothesis import strategies as st
 from photonpuf import errors, hashing
 from photonpuf.hashing import (
     BitKey,
-    HashConfig,
     RbmHelper,
     SvdHelper,
+    draw_helper,
     hash_apply,
     hash_enroll,
     helper_from_bytes,
@@ -24,13 +26,16 @@ from photonpuf.hashing import (
     rbm_helper,
     standardize,
     svd_hash,
+    svd_helper,
 )
 
 RNG = np.random.default_rng(20260814)
 
 
-def svd_cfg(key_len, rng_seed, **geometry):
-    return HashConfig(algo="svd", key_len=key_len, rng_seed=rng_seed, **geometry)
+def svd_enroll(img, key_len, rng_seed, **geometry):
+    """``hash_enroll`` for an SVD geometry other than the default."""
+    helper = svd_helper(img.shape, key_len, rng_seed, **geometry)
+    return hash_apply(img, helper), helper
 
 
 def random_image(rows=64, cols=64, rng=RNG):
@@ -111,7 +116,7 @@ def test_rbm_helper_indices_distinct():
 
 def test_rbm_enroll_uses_same_mapping_as_helper():
     img = random_image(16, 16)
-    key, helper = hash_enroll(img, HashConfig(key_len=50, rng_seed=9))
+    key, helper = hash_enroll(img, "rbm", 50, 9)
     assert np.array_equal(helper.signs, rbm_helper((16, 16), 50, 9).signs)
     assert key == rbm_hash(img, helper)
 
@@ -119,7 +124,7 @@ def test_rbm_enroll_uses_same_mapping_as_helper():
 def test_rbm_hash_matches_explicit_dft_sum():
     # independent oracle: X[k] = sum_j s_j y_j exp(-2*pi*i*j*k/N), real part
     img = random_image(4, 4)
-    key, helper = hash_enroll(img, HashConfig(key_len=16, rng_seed=21))
+    key, helper = hash_enroll(img, "rbm", 16, 21)
     y = standardize(img).ravel() * helper.signs
     n = y.size
     j = np.arange(n)
@@ -132,12 +137,12 @@ def test_rbm_hash_matches_explicit_dft_sum():
 
 def test_rbm_hash_affine_invariant():
     img = random_image(16, 16)
-    key, helper = hash_enroll(img, HashConfig(key_len=64, rng_seed=4))
+    key, helper = hash_enroll(img, "rbm", 64, 4)
     assert rbm_hash(0.5 * img + 9.0, helper) == key
 
 
 def test_rbm_hash_shape_guard():
-    _, helper = hash_enroll(random_image(16, 16), HashConfig(key_len=20, rng_seed=1))
+    _, helper = hash_enroll(random_image(16, 16), "rbm", 20, 1)
     with pytest.raises(ValueError):
         rbm_hash(random_image(8, 8), helper)
 
@@ -160,7 +165,7 @@ def test_rbm_helper_validation():
 
 def test_rbm_small_noise_flips_few_bits():
     img = random_image(32, 32)
-    key, helper = hash_enroll(img, HashConfig(key_len=200, rng_seed=5))
+    key, helper = hash_enroll(img, "rbm", 200, 5)
     noisy = img + RNG.normal(0.0, 0.01 * img.std(), img.shape)
     frac = np.mean(key.bits != rbm_hash(noisy, helper).bits)
     assert frac < 0.1
@@ -225,7 +230,7 @@ def test_cyclic_quantize_by_hand():
 
 def test_svd_vector_structure():
     img = random_image(64, 64)
-    _, helper = hash_enroll(img, svd_cfg(10, 6, k1=16, k2=8, p=12, r=6))
+    _, helper = svd_enroll(img, 10, 6, k1=16, k2=8, p=12, r=6)
     h = hashing._svd_vector(standardize(img), helper)
     assert h.shape == (2 * 6 * 8,)
     assert helper.hash_len == h.size
@@ -236,7 +241,7 @@ def test_svd_vector_structure():
 
 def test_svd_hash_matches_manual_pipeline():
     img = random_image(48, 48)
-    key, helper = hash_enroll(img, svd_cfg(40, 13, k1=16, k2=8, p=10, r=5))
+    key, helper = svd_enroll(img, 40, 13, k1=16, k2=8, p=10, r=5)
     arr = standardize(img)
     us, vs = [], []
     for r0, c0 in helper.stage1_origins:
@@ -259,16 +264,18 @@ def test_svd_hash_matches_manual_pipeline():
 def test_svd_enroll_validates_geometry():
     img = random_image(24, 24)
     with pytest.raises(ValueError):
-        hash_enroll(img, svd_cfg(10, 0, k1=32))                         # block bigger than image
+        svd_enroll(img, 10, 0, k1=32)                         # block bigger than image
     with pytest.raises(ValueError):
-        hash_enroll(img, svd_cfg(10, 0, k1=16, k2=20, p=10))            # stage-2 exceeds feature rows
+        svd_enroll(img, 10, 0, k1=16, k2=20, p=10)            # stage-2 exceeds feature rows
     with pytest.raises(ValueError):
-        hash_enroll(img, svd_cfg(10_000, 0, k1=16, k2=8, p=10, r=5))    # key longer than hash
+        svd_enroll(img, 10_000, 0, k1=16, k2=8, p=10, r=5)    # key longer than hash
+    with pytest.raises(ValueError):
+        hash_enroll(img, "svd", 10, 0)                        # default 48x48 block
 
 
 def test_svd_origins_inside_bounds():
     img = random_image(64, 64)
-    _, helper = hash_enroll(img, svd_cfg(30, 8, k1=16, k2=8, p=40, r=20))
+    _, helper = svd_enroll(img, 30, 8, k1=16, k2=8, p=40, r=20)
     assert helper.stage1_origins.max() <= 64 - 16
     assert (helper.stage2_origins[:, 0] <= 16 - 8).all()
     assert (helper.stage2_origins[:, 1] <= 2 * 40 - 8).all()
@@ -276,7 +283,7 @@ def test_svd_origins_inside_bounds():
 
 def test_svd_hash_affine_invariant():
     img = random_image(48, 48)
-    key, helper = hash_enroll(img, svd_cfg(30, 15, k1=16, k2=8, p=10, r=5))
+    key, helper = svd_enroll(img, 30, 15, k1=16, k2=8, p=10, r=5)
     assert svd_hash(2.0 * img + 30.0, helper) == key
 
 
@@ -284,19 +291,22 @@ def test_svd_hash_affine_invariant():
 
 def test_hash_enroll_dispatch():
     img = random_image(64, 64)
-    key_r, helper_r = hash_enroll(img, HashConfig(algo="rbm", key_len=63, rng_seed=1))
+    key_r, helper_r = hash_enroll(img, "rbm", 63, 1)
     assert isinstance(helper_r, RbmHelper)
     assert hash_apply(img, helper_r) == key_r
-    cfg = svd_cfg(63, 1, k1=16, k2=8, p=10, r=5)
-    key_s, helper_s = hash_enroll(img, cfg)
+    key_s, helper_s = hash_enroll(img, "svd", 63, 1)
     assert isinstance(helper_s, SvdHelper)
+    assert (helper_s.k1, helper_s.k2, helper_s.hash_len) == (48, 16, 2 * 32 * 16)
+    assert helper_to_bytes(helper_s) == helper_to_bytes(svd_helper((64, 64), 63, 1))
     assert hash_apply(img, helper_s) == key_s
     assert key_r != key_s
 
 
-def test_hash_config_rejects_unknown_algo():
+def test_draw_helper_rejects_unknown_algo():
     with pytest.raises(ValueError):
-        HashConfig(algo="md5")
+        draw_helper("md5", (8, 8), 10, 0)
+    with pytest.raises(ValueError):
+        hash_enroll(random_image(8, 8), "md5", 10, 0)
 
 
 def test_hash_apply_rejects_foreign_object():
@@ -307,7 +317,7 @@ def test_hash_apply_rejects_foreign_object():
 # ---------------------------------------------------------------- serialization
 
 def test_rbm_helper_roundtrip():
-    _, helper = hash_enroll(random_image(16, 16), HashConfig(key_len=100, rng_seed=3))
+    _, helper = hash_enroll(random_image(16, 16), "rbm", 100, 3)
     back = helper_from_bytes(helper_to_bytes(helper))
     assert np.array_equal(back.signs, helper.signs)
     assert np.array_equal(back.indices, helper.indices)
@@ -315,7 +325,7 @@ def test_rbm_helper_roundtrip():
 
 
 def test_svd_helper_roundtrip():
-    _, helper = hash_enroll(random_image(48, 48), svd_cfg(64, 3, k1=16, k2=8, p=10, r=5))
+    _, helper = svd_enroll(random_image(48, 48), 64, 3, k1=16, k2=8, p=10, r=5)
     back = helper_from_bytes(helper_to_bytes(helper))
     assert (back.k1, back.k2) == (16, 8)
     assert np.array_equal(back.stage1_origins, helper.stage1_origins)
@@ -325,7 +335,7 @@ def test_svd_helper_roundtrip():
 
 
 def test_helper_container_errors():
-    _, helper = hash_enroll(random_image(8, 8), HashConfig(key_len=10, rng_seed=0))
+    _, helper = hash_enroll(random_image(8, 8), "rbm", 10, 0)
     blob = helper_to_bytes(helper)
     with pytest.raises(errors.BadMagicError):
         helper_from_bytes(b"NOPE" + blob[4:])
@@ -339,9 +349,35 @@ def test_helper_container_errors():
         helper_to_bytes({"algo": "rbm"})
 
 
+def _patched(blob, at, value):
+    """``blob`` with the little-endian u32 at byte ``at`` set to ``value``."""
+    return blob[:at] + struct.pack("<I", value) + blob[at + 4:]
+
+
+# a 16x16 SVD helper blob (k1=8, k2=4, p=4, r=2); after magic, version, algo,
+# key_len and dims come k1 at byte 19, k2 at 23, p at 27, then the origins at 35
+SVD_HELPER = svd_helper((16, 16), 12, 0, k1=8, k2=4, p=4, r=2)
+SVD_BLOB = helper_to_bytes(SVD_HELPER)
+SVD_PATCHES = {
+    "k1_zero": _patched(SVD_BLOB, 19, 0),
+    "k2_zero": _patched(SVD_BLOB, 23, 0),
+    "no_stage1_origins": _patched(SVD_BLOB, 27, 0)[:35] + SVD_BLOB[35 + 8 * 4:],
+    "stage1_outside_image": _patched(SVD_BLOB, 35, 16 - 8 + 1),
+    "stage2_outside_features": _patched(SVD_BLOB, 35 + 8 * 4 + 4, 2 * 4 - 4 + 1),
+    "index_past_hash_len": _patched(SVD_BLOB, len(SVD_BLOB) - 4, SVD_HELPER.hash_len),
+}
+
+
+@pytest.mark.parametrize("name", SVD_PATCHES)
+def test_svd_helper_patched_blob_rejected(name):
+    assert isinstance(helper_from_bytes(SVD_BLOB), SvdHelper)
+    with pytest.raises(ValueError):
+        helper_from_bytes(SVD_PATCHES[name])
+
+
 def test_roundtrip_preserves_hash():
     img = random_image(32, 32)
-    key, helper = hash_enroll(img, HashConfig(key_len=120, rng_seed=17))
+    key, helper = hash_enroll(img, "rbm", 120, 17)
     assert rbm_hash(img, helper_from_bytes(helper_to_bytes(helper))) == key
 
 

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 from photonpuf import bch, errors, protocol
-from photonpuf.hashing import BitKey, RbmHelper, SvdHelper, helper_to_bytes, rbm_hash
+from photonpuf.hashing import BitKey, RbmHelper, SvdHelper, helper_to_bytes, rbm_hash, rbm_helper
 from photonpuf.protocol import (
     authenticate,
     enroll,
@@ -208,6 +208,13 @@ def test_record_container_errors():
         record_from_bytes(blob[:4] + b"\x42\x00" + blob[6:])
     with pytest.raises(errors.TruncatedError):
         record_from_bytes(blob[:-5])
+    # a stored helper whose key is one bit shorter than the code
+    helper_blob = helper_to_bytes(record.hash_helper)
+    short_blob = helper_to_bytes(rbm_helper((16, 16), 14, 0))
+    at = blob.index(helper_blob)
+    with pytest.raises(ValueError):
+        record_from_bytes(blob[:at - 4] + struct.pack("<I", len(short_blob)) + short_blob
+                          + blob[at + len(helper_blob):])
     # a stored BCH polynomial that is irreducible but not primitive
     _, record = enroll(img, bch.bch_new(8, 4))
     blob = bytearray(record_to_bytes(record))
@@ -226,6 +233,8 @@ def test_record_field_validation():
         dataclasses.replace(record, key_digest=b"\x00" * 16)
     with pytest.raises(ValueError):
         dataclasses.replace(record, code_offset=np.zeros(7, dtype=np.uint8))
+    with pytest.raises(ValueError):        # a helper whose key is not code-length
+        dataclasses.replace(record, hash_helper=rbm_helper((16, 16), 14, 0))
     bad_algo = dataclasses.replace(record, digest_algo=9)
     with pytest.raises(ValueError):
         verify(key, bad_algo)
