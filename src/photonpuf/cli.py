@@ -20,7 +20,7 @@ from .campaign import Campaign, run_campaign, success_curve
 from .hashing import BitKey, draw_helper, hash_apply, hash_enroll
 from .protocol import authenticate, enroll, load_record, save_record, verify
 from .randomness import ALL_TESTS, nist_test, suite_report
-from .service import DEFAULT_FRAME_TIMEOUT, PufService, RecordStore, random_bits, serve_forever
+from .service import DEFAULT_FRAME_TIMEOUT, PufServer, PufService, RecordStore, random_bits
 from .token import (
     KINDS,
     NoiseParams,
@@ -345,7 +345,8 @@ def _cmd_serve(args) -> int:
         _emit(("token_id", tid.hex()))
     _emit(("listening", f"{args.host}:{args.port}"), ("store", args.store))
     sys.stdout.flush()
-    serve_forever((args.host, args.port), service, frame_timeout=args.frame_timeout)
+    with PufServer((args.host, args.port), service, args.frame_timeout) as server:
+        server.serve_forever()
     return 0
 
 

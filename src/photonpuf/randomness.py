@@ -34,17 +34,6 @@ __all__ = [
     "pvalue_uniformity",
 ]
 
-ALL_TESTS = (
-    "frequency",
-    "block_frequency",
-    "cumulative_sums",
-    "runs",
-    "longest_run",
-    "fft",
-    "approximate_entropy",
-    "serial",
-)
-
 ALPHA = 0.01
 UNIFORMITY_FLOOR = 1e-4
 
@@ -291,6 +280,7 @@ _TESTS = {
     "approximate_entropy": approximate_entropy,
     "serial": serial,
 }
+ALL_TESTS = tuple(_TESTS)
 
 
 def nist_test(stream, name: str, **params) -> TestResult:

@@ -10,9 +10,10 @@ helper seeds, capture noise seeds and random-bit challenges are all drawn
 fresh from the operating system's CSPRNG, so a restart neither reuses an id
 nor repeats random bits.
 
-A malformed or half-delivered frame gets an ERROR reply and the connection
-stays usable; framing keeps recovery trivial because the next length prefix
-restarts the parse.
+Once the first byte of a frame arrives, the whole frame must follow within
+one deadline (``frame_timeout``); a late frame, or a length prefix over
+``MAX_FRAME``, gets an ERROR reply and the connection stays usable, reading
+its next bytes as a new frame. A connection may idle between frames.
 """
 
 from __future__ import annotations
@@ -24,18 +25,20 @@ import socket
 import socketserver
 import struct
 import threading
+import time
 
 import numpy as np
 
 from . import bch
-from ._binio import Reader, le, pack_bits, packed_size, unpack_bits
+from ._binio import Reader, le
 from .errors import FormatError
+from .hashing import BitKey
 from .protocol import (
     EnrollmentRecord,
     authenticate,
     enroll,
     load_record,
-    save_record,
+    record_to_bytes,
     verify,
 )
 from .randomness import extract_bits
@@ -58,11 +61,10 @@ __all__ = [
     "ERR_NOT_FOUND",
     "ERR_INTERNAL",
     "encode_frame",
-    "decode_frame",
     "RecordStore",
     "PufService",
     "random_bits",
-    "serve_forever",
+    "PufServer",
     "ServiceClient",
 ]
 
@@ -94,18 +96,6 @@ def encode_frame(payload: bytes) -> bytes:
     return struct.pack(">I", len(payload)) + payload
 
 
-def decode_frame(data: bytes) -> tuple[bytes, bytes]:
-    """Split one frame off the front; returns (payload, rest)."""
-    if len(data) < 4:
-        raise FormatError("frame shorter than its length prefix")
-    (n,) = struct.unpack(">I", data[:4])
-    if n > MAX_FRAME:
-        raise FormatError(f"frame length {n} exceeds maximum")
-    if len(data) < 4 + n:
-        raise FormatError("frame truncated")
-    return data[4 : 4 + n], data[4 + n :]
-
-
 def error_payload(code: int, message: str) -> bytes:
     raw = message.encode()[:1000]
     return bytes([OP_ERROR, code]) + le("H", len(raw)) + raw
@@ -126,7 +116,6 @@ class RecordStore:
     def __init__(self, directory):
         self._dir = str(directory)
         os.makedirs(self._dir, exist_ok=True)
-        self._lock = threading.Lock()
 
     def _path(self, record_id: bytes) -> str:
         return os.path.join(self._dir, record_id.hex() + ".pufr")
@@ -134,19 +123,26 @@ class RecordStore:
     def save(self, record: EnrollmentRecord):
         """Store a new record; raises ``FileExistsError`` if its id is taken.
 
-        The record is written to a temporary file first and then hard-linked
-        into place, so readers never see a partial file and an existing
-        record is never replaced.
+        The record is written to a temporary file of its own, fsynced, and
+        hard-linked into place; the directory is fsynced after the link.
+        Readers never see a partial file, an existing record is never
+        replaced, and a record survives a power failure once this returns.
         """
         path = self._path(record.record_id)
-        tmp = path + ".tmp"
-        with self._lock:
+        tmp = f"{path}.{secrets.token_bytes(8).hex()}.tmp"
+        with open(tmp, "xb") as fh:
             try:
-                save_record(record, tmp)
+                fh.write(record_to_bytes(record))
+                fh.flush()
+                os.fsync(fh.fileno())
                 os.link(tmp, path)
             finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
+                os.unlink(tmp)
+        dir_fd = os.open(self._dir, os.O_RDONLY)
+        try:
+            os.fsync(dir_fd)
+        finally:
+            os.close(dir_fd)
 
     def load(self, record_id: bytes) -> EnrollmentRecord:
         path = self._path(record_id)
@@ -205,7 +201,7 @@ class PufService:
             return error_payload(ERR_BAD_FRAME, f"unknown opcode 0x{op:02x}")
         except KeyError as exc:
             return error_payload(ERR_NOT_FOUND, f"unknown id {exc.args[0]}")
-        except (FormatError, ValueError, struct.error, IndexError) as exc:
+        except ValueError as exc:
             return error_payload(ERR_BAD_FRAME, str(exc))
         except Exception as exc:  # defensive catch-all: keep serving, leave a trace
             _log.exception("internal error in op 0x%02x: %s", op, type(exc).__name__)
@@ -256,7 +252,7 @@ class PufService:
                 raise KeyError("no token installed")
             token = self._tokens[min(self._tokens)]
         bits = random_bits(token, n_bits, self.noise)
-        return bytes([OP_RESULT, OP_RANDOM]) + le("I", n_bits) + pack_bits(bits)
+        return bytes([OP_RESULT, OP_RANDOM]) + BitKey(bits).to_bytes()
 
 
 def random_bits(token: TokenModel, n_bits: int, noise: NoiseParams) -> np.ndarray:
@@ -279,50 +275,55 @@ def random_bits(token: TokenModel, n_bits: int, noise: NoiseParams) -> np.ndarra
 # ----------------------------------------------------------------------
 # socket plumbing
 
-def _recv_exact(sock: socket.socket, n: int, timeout: float | None) -> bytes:
-    """Read exactly n bytes. Raises TimeoutError mid-read, EOFError on close."""
-    chunks = []
-    got = 0
-    sock.settimeout(timeout)
-    while got < n:
-        chunk = sock.recv(n - got)
-        if not chunk:
-            raise EOFError("connection closed mid-frame" if chunks else "connection closed")
-        chunks.append(chunk)
-        got += len(chunk)
-    return b"".join(chunks)
+def _read_frame(sock: socket.socket, wait: float | None, frame_timeout: float) -> bytes:
+    """Read one frame and return its payload, leaving later bytes unread.
+
+    Waits up to ``wait`` seconds for the first byte (``None``: forever), then
+    gives the rest of the frame one deadline of ``frame_timeout`` seconds.
+    Raises ``TimeoutError`` for a late frame, ``FormatError`` for a length
+    over ``MAX_FRAME`` and ``EOFError`` when the peer closes.
+    """
+    header = bytearray(4)
+    sock.settimeout(wait)
+    if not sock.recv_into(header, 1):
+        raise EOFError("connection closed")
+    deadline = time.monotonic() + frame_timeout
+
+    def fill(view: memoryview):
+        while view:
+            left = deadline - time.monotonic()
+            if left <= 0:
+                raise TimeoutError(f"frame not complete within {frame_timeout} s")
+            sock.settimeout(left)
+            got = sock.recv_into(view)
+            if not got:
+                raise EOFError("connection closed mid-frame")
+            view = view[got:]
+
+    fill(memoryview(header)[1:])
+    (length,) = struct.unpack(">I", header)
+    if length > MAX_FRAME:
+        raise FormatError(f"frame length {length} exceeds maximum {MAX_FRAME}")
+    payload = bytearray(length)
+    fill(memoryview(payload))
+    return bytes(payload)
 
 
 class _Handler(socketserver.BaseRequestHandler):
     def handle(self):
         service: PufService = self.server.service  # type: ignore[attr-defined]
         frame_timeout = self.server.frame_timeout  # type: ignore[attr-defined]
-        sock = self.request
         while True:
             try:
-                sock.settimeout(None)
-                first = sock.recv(1)
-            except (TimeoutError, socket.timeout, OSError):
-                return
-            if not first:
-                return
-            try:
-                rest = _recv_exact(sock, 3, frame_timeout)
-                (length,) = struct.unpack(">I", first + rest)
-                if length > MAX_FRAME:
-                    raise ValueError(f"frame length {length} exceeds maximum")
-                payload = _recv_exact(sock, length, frame_timeout)
-            except (TimeoutError, socket.timeout, ValueError):
-                try:
-                    sock.sendall(encode_frame(error_payload(ERR_BAD_FRAME, "incomplete frame")))
-                    continue
-                except OSError:
-                    return
+                payload = _read_frame(self.request, None, frame_timeout)
+            except (TimeoutError, FormatError) as exc:
+                reply = error_payload(ERR_BAD_FRAME, str(exc))
             except (EOFError, OSError):
                 return
-            response = service.handle_payload(payload)
+            else:
+                reply = service.handle_payload(payload)
             try:
-                sock.sendall(encode_frame(response))
+                self.request.sendall(encode_frame(reply))
             except OSError:
                 return
 
@@ -337,14 +338,8 @@ class PufServer(socketserver.ThreadingTCPServer):
         super().__init__(address, _Handler)
 
 
-def serve_forever(address, service: PufService, frame_timeout: float = DEFAULT_FRAME_TIMEOUT):
-    """Blocking entry point used by the command line."""
-    with PufServer(address, service, frame_timeout) as server:
-        server.serve_forever()
-
-
 class ServiceClient:
-    """Small blocking client for tests and the command line."""
+    """Small blocking client; ``timeout`` bounds the connect and each reply."""
 
     def __init__(self, address, timeout: float = 10.0):
         self._sock = socket.create_connection(address, timeout=timeout)
@@ -367,9 +362,7 @@ class ServiceClient:
         return self.read_reply()
 
     def read_reply(self) -> bytes:
-        header = _recv_exact(self._sock, 4, self._timeout)
-        (length,) = struct.unpack(">I", header)
-        return _recv_exact(self._sock, length, self._timeout)
+        return _read_frame(self._sock, self._timeout, self._timeout)
 
     # -- typed calls ------------------------------------------------------
 
@@ -392,10 +385,7 @@ class ServiceClient:
     def random_bits(self, n_bits: int) -> np.ndarray:
         reply = self.request(bytes([OP_RANDOM]) + le("I", n_bits))
         self._raise_on_error(reply)
-        r = Reader(reply)
-        r.unpack("BB")
-        n = r.unpack("I")
-        return unpack_bits(r.take(packed_size(n)), n)
+        return BitKey.from_bytes(reply[2:]).bits
 
     @staticmethod
     def _raise_on_error(reply: bytes):

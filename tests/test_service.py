@@ -1,8 +1,9 @@
 """Wire-format and service behavior, both in-process and over loopback TCP.
 
-The recovery contract under test: a half-delivered frame earns an ERROR reply
-and the same connection keeps serving; every malformed payload is answered,
-never dropped, and never kills the server.
+The recovery contract under test: a frame that is half delivered, late, or
+longer than ``MAX_FRAME`` earns an ERROR reply and the same connection keeps
+serving; every malformed payload is answered, never dropped, and never kills
+the server.
 """
 
 import dataclasses
@@ -10,6 +11,8 @@ import itertools
 import logging
 import os
 import secrets
+import socket
+import stat
 import struct
 import sys
 import threading
@@ -37,7 +40,7 @@ from photonpuf.service import (
     RecordStore,
     ServiceClient,
     ServiceError,
-    decode_frame,
+    _read_frame,
     encode_frame,
     error_payload,
     parse_error,
@@ -93,31 +96,65 @@ def counted_entropy(monkeypatch):
 
 # ---------------------------------------------------------------- frame codec
 
-def test_frame_roundtrip():
-    payload = b"\x01hello"
-    framed = encode_frame(payload)
+@pytest.fixture()
+def pair():
+    left, right = socket.socketpair()
+    with left, right:
+        yield left, right
+
+
+def test_frame_roundtrip(pair):
+    left, right = pair
+    framed = encode_frame(b"\x01hello")
     assert framed[:4] == struct.pack(">I", 6)
-    got, rest = decode_frame(framed + b"tail")
-    assert got == payload
-    assert rest == b"tail"
+    left.sendall(framed + encode_frame(b"") + encode_frame(b"next"))
+    assert _read_frame(right, 1.0, 1.0) == b"\x01hello"
+    assert _read_frame(right, 1.0, 1.0) == b""
+    # the reader takes exactly one frame: the queued one is still unread
+    assert right.recv(100) == encode_frame(b"next")
 
 
-def test_frame_errors():
-    with pytest.raises(errors.FormatError):
-        decode_frame(b"\x00\x00")                        # shorter than the prefix
-    with pytest.raises(errors.FormatError):
-        decode_frame(struct.pack(">I", 10) + b"abc")     # truncated body
-    with pytest.raises(errors.FormatError):
-        decode_frame(struct.pack(">I", svc.MAX_FRAME + 1) + b"x")
+@settings(deadline=None, max_examples=50)
+@given(st.binary(min_size=0, max_size=300), st.binary(min_size=0, max_size=30))
+def test_frame_roundtrip_property(payload, queued):
+    left, right = socket.socketpair()
+    with left, right:
+        left.sendall(encode_frame(payload) + encode_frame(queued))
+        assert _read_frame(right, 1.0, 1.0) == payload
+        left.close()
+        assert _read_frame(right, 1.0, 1.0) == queued
+        with pytest.raises(EOFError):
+            _read_frame(right, 1.0, 1.0)
+
+
+def test_frame_errors(pair):
+    left, right = pair
+    left.sendall(struct.pack(">I", svc.MAX_FRAME + 1) + b"x")
+    with pytest.raises(errors.FormatError, match=str(svc.MAX_FRAME + 1)):
+        _read_frame(right, 1.0, 1.0)
     with pytest.raises(ValueError):
         encode_frame(b"x" * (svc.MAX_FRAME + 1))
 
 
-@settings(deadline=None, max_examples=50)
-@given(st.binary(min_size=0, max_size=300))
-def test_frame_roundtrip_property(payload):
-    got, rest = decode_frame(encode_frame(payload))
-    assert got == payload and rest == b""
+@pytest.mark.parametrize("sent", [b"", b"\x00\x00", struct.pack(">I", 10) + b"abc"],
+                         ids=["before-frame", "mid-prefix", "mid-body"])
+def test_frame_peer_closes(pair, sent):
+    left, right = pair
+    left.sendall(sent)
+    left.close()
+    with pytest.raises(EOFError):
+        _read_frame(right, 1.0, 1.0)
+
+
+def test_frame_late_parts_time_out(pair):
+    left, right = pair
+    with pytest.raises(TimeoutError):       # nothing arrives within the wait
+        _read_frame(right, 0.05, 1.0)
+    left.sendall(struct.pack(">I", 10) + b"abc")
+    start = time.monotonic()
+    with pytest.raises(TimeoutError):       # the body stops short
+        _read_frame(right, 1.0, 0.2)
+    assert time.monotonic() - start < 1.0
 
 
 def test_error_payload_roundtrip():
@@ -166,6 +203,61 @@ def test_record_store_refuses_overwrite(tmp_path):
         store.save(second)
     assert path.read_bytes() == before
     assert os.listdir(tmp_path / "records") == [path.name]
+
+
+def test_record_store_fsyncs_before_and_after_link(tmp_path, monkeypatch):
+    store = RecordStore(tmp_path / "records")
+    _, record = enroll(np.random.default_rng(0).exponential(size=(16, 16)), bch.bch_new(4, 3))
+    calls = []
+    real_fsync, real_link = os.fsync, os.link
+
+    def fsync(fd):
+        calls.append("fsync dir" if stat.S_ISDIR(os.fstat(fd).st_mode) else "fsync file")
+        real_fsync(fd)
+
+    def link(src, dst):
+        calls.append("link")
+        real_link(src, dst)
+
+    monkeypatch.setattr(os, "fsync", fsync)
+    monkeypatch.setattr(os, "link", link)
+    store.save(record)
+    assert calls == ["fsync file", "link", "fsync dir"]
+    assert store.load(record.record_id).key_digest == record.key_digest
+
+
+def test_concurrent_saves_of_one_record(tmp_path):
+    store = RecordStore(tmp_path / "records")
+    params = bch.bch_new(4, 3)
+    rng = np.random.default_rng(0)
+    for _ in range(10):
+        _, record = enroll(rng.exponential(size=(16, 16)), params)
+        barrier = threading.Barrier(2)
+        outcomes = []
+
+        def worker():
+            barrier.wait()
+            try:
+                store.save(record)
+                outcomes.append("saved")
+            except FileExistsError:
+                outcomes.append("exists")
+
+        threads = [threading.Thread(target=worker) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=10)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert sorted(outcomes) == ["exists", "saved"]
+        assert store.load(record.record_id).key_digest == record.key_digest
+    names = os.listdir(tmp_path / "records")
+    assert len(names) == 10 and all(name.endswith(".pufr") for name in names)
 
 
 # ---------------------------------------------------------------- payload handling
@@ -302,6 +394,19 @@ def test_internal_error_is_logged_without_secrets(tmp_path, monkeypatch, caplog)
             assert s not in line
 
 
+def test_internal_bug_is_not_blamed_on_the_client(tmp_path, monkeypatch, caplog):
+    service, tid = make_service(tmp_path)
+
+    def broken(*args, **kw):
+        raise IndexError("detail")
+
+    monkeypatch.setattr(svc, "respond", broken)
+    caplog.set_level(logging.DEBUG)
+    reply = service.handle_payload(enroll_msg(tid, chal_blob()))
+    assert parse_error(reply) == (ERR_INTERNAL, "internal error")
+    assert len([r for r in caplog.records if r.name == svc.__name__]) == 1
+
+
 def test_random_bits_exact_count(tmp_path):
     service, _ = make_service(tmp_path)
     reply = service.handle_payload(bytes([OP_RANDOM]) + le("I", 700))
@@ -408,7 +513,36 @@ def test_oversized_frame_rejected(server):
     with ServiceClient(srv.server_address) as client:
         client.send_raw(struct.pack(">I", svc.MAX_FRAME + 5))
         reply = client.read_reply()
-        assert parse_error(reply)[0] == ERR_BAD_FRAME
+        code, message = parse_error(reply)
+        assert code == ERR_BAD_FRAME
+        assert str(svc.MAX_FRAME + 5) in message
+
+
+def test_slow_frame_rejected_at_deadline(server):
+    # every byte comes within the frame timeout of the one before it, but the
+    # whole frame does not: the deadline covers the frame, not each read
+    srv, _, _ = server
+    frame = encode_frame(bytes([OP_RANDOM]) + le("I", 16))
+    stop = threading.Event()
+    with ServiceClient(srv.server_address) as client:
+        def trickle():
+            for i in range(len(frame)):
+                if stop.is_set():
+                    return
+                client.send_raw(frame[i : i + 1])
+                time.sleep(0.2)
+
+        sender = threading.Thread(target=trickle)
+        start = time.monotonic()
+        sender.start()
+        try:
+            reply = client.read_reply()
+            elapsed = time.monotonic() - start
+        finally:
+            stop.set()
+            sender.join(timeout=5)
+    assert parse_error(reply)[0] == ERR_BAD_FRAME
+    assert elapsed < srv.frame_timeout + 0.5
 
 
 def test_concurrent_auths_agree(server):
