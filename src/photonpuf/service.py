@@ -11,13 +11,15 @@ fresh from the operating system's CSPRNG, so a restart neither reuses an id
 nor repeats random bits.
 
 Once the first byte of a frame arrives, the whole frame must follow within
-one deadline (``frame_timeout``); a late frame, or a length prefix over
-``MAX_FRAME``, gets an ERROR reply and the connection stays usable, reading
-its next bytes as a new frame. A connection may idle between frames.
+one deadline (``frame_timeout``). A late frame, or a length prefix over
+``MAX_FRAME``, gets one ERROR reply and the server then closes the
+connection: the frame boundary is lost, and any later bytes would be misread
+as new frames. A connection may idle between frames.
 """
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import os
 import secrets
@@ -317,13 +319,15 @@ class _Handler(socketserver.BaseRequestHandler):
             try:
                 payload = _read_frame(self.request, None, frame_timeout)
             except (TimeoutError, FormatError) as exc:
-                reply = error_payload(ERR_BAD_FRAME, str(exc))
+                # the frame boundary is lost and a length-prefixed stream cannot
+                # find it again: answer once, then close the connection
+                with contextlib.suppress(OSError):
+                    self.request.sendall(encode_frame(error_payload(ERR_BAD_FRAME, str(exc))))
+                return
             except (EOFError, OSError):
                 return
-            else:
-                reply = service.handle_payload(payload)
             try:
-                self.request.sendall(encode_frame(reply))
+                self.request.sendall(encode_frame(service.handle_payload(payload)))
             except OSError:
                 return
 

@@ -5,7 +5,10 @@ A token is a random complex transmission tensor: one complex field per
 token seed. Illuminating a subset of challenge pixels superimposes the
 corresponding rows coherently; the camera sees the squared magnitude. That
 minimal model already produces fully developed speckle (exponential intensity
-statistics) and exact field superposition between challenges.
+statistics) and exact field superposition between challenges. The tensor is
+stored as one read-only float64 row table per token, each row the
+interleaved (re, im) field of one challenge pixel followed by its powers
+``|a|^2``.
 
 Wavelength is a second challenge axis: the per-pixel field evolves with
 wavelength as a stationary Gauss-Markov (Ornstein-Uhlenbeck) process,
@@ -23,8 +26,8 @@ lit rows (a wavelength, sparse masks) every row and camera pixel gets its own
 phase. With more rows the drifted sum at each pixel is, by the central limit
 theorem, circular Gaussian around ``c * sum_r a_r`` with variance
 ``(1 - c^2) * sum_r |a_r|^2``, ``c = exp(-sigma^2 / 2)``, so one complex
-normal per pixel replaces the per-row phases and both sums are
-matrix-vector products over the mask weights. Grain, optional vibration
+normal per pixel replaces the per-row phases, and one pass that adds up only
+the lit rows of the table yields both sums. Grain, optional vibration
 jitter (a translation by roughly one resonant amplitude in a random
 direction, sub-pixel offsets included), additive camera noise on the scaled
 intensity and quantization follow.
@@ -207,10 +210,14 @@ class NoiseParams:
 class TokenModel:
     """An instantiated token: seed, geometry and the realized field tensor.
 
-    The tensor is fully determined by (token_seed, kind, grid_dims, out_dims);
-    two constructions from the same parameters are identical. Instances are
-    immutable (every query is a pure function of the descriptor) and safe to
-    share across threads.
+    ``rows`` is a read-only float64 table of shape ``(n_grid, 3 * n_out)``,
+    one row per modulator pixel: columns ``[0, 2 * n_out)`` hold the
+    interleaved (re, im) field at each camera pixel and the last ``n_out``
+    its power ``|a|^2``. ``field_tensor`` is a complex128 view of the field
+    columns, not a copy. The table is fully determined by (token_seed, kind,
+    grid_dims, out_dims); two constructions from the same parameters are
+    identical. Instances are immutable (every query is a pure function of
+    the descriptor) and safe to share across threads.
     """
 
     def __init__(self, token_seed, kind, grid_dims, out_dims,
@@ -246,13 +253,17 @@ class TokenModel:
                 [self.token_seed, _KIND_CODE[kind], *grid_dims, *out_dims, _TAG_FIELD]
             )
         )
-        self.field_tensor = (
-            rng.standard_normal((n_grid, n_out)) + 1j * rng.standard_normal((n_grid, n_out))
-        ) / np.sqrt(2.0)
-        self.field_tensor.flags.writeable = False
+        self.rows = np.empty((n_grid, 3 * n_out))
+        self.field_tensor = self.rows[:, : 2 * n_out].view(np.complex128)
+        self.field_tensor.real = rng.standard_normal((n_grid, n_out))
+        self.field_tensor.imag = rng.standard_normal((n_grid, n_out))
+        self.field_tensor /= np.sqrt(2.0)
         # incoherent row powers |a|^2, the variance weights of the Gaussian drift
-        self.power_tensor = np.abs(self.field_tensor) ** 2
-        self.power_tensor.flags.writeable = False
+        power = self.rows[:, 2 * n_out :]
+        np.abs(self.field_tensor, out=power)
+        np.square(power, out=power)
+        self.rows.flags.writeable = False
+        self.field_tensor.flags.writeable = False
 
         # gaussian transfer function of the speckle grain, unit mean power
         self.grain_kernel = None
@@ -310,12 +321,25 @@ def token_id(token: TokenModel) -> bytes:
 # ----------------------------------------------------------------------
 # responses
 
-def _mask_weights(token: TokenModel, challenge) -> np.ndarray:
-    """0/1 weight per modulator pixel: the sources a pixel mask lights."""
+def _lit_rows(token: TokenModel, challenge) -> np.ndarray:
+    """Indices of the modulator pixels, hence table rows, a pixel mask lights."""
     mask = challenge.mask if isinstance(challenge, PixelPattern) else PixelPattern(challenge).mask
     if mask.shape != token.grid_dims:
         raise ValueError(f"mask shape {mask.shape} does not match grid {token.grid_dims}")
-    return mask.ravel().astype(np.float64)
+    return np.flatnonzero(mask)
+
+
+def _lit_sum(token: TokenModel, lit: np.ndarray, power: bool) -> np.ndarray:
+    """Interleaved field sum of the lit rows, then ``sum_r |a_r|^2`` if ``power``.
+
+    Each add is one single-threaded ufunc call that releases the GIL and
+    reads one lit row; the field equals ``field_tensor[lit].sum(axis=0)``.
+    """
+    table = token.rows if power else token.rows[:, : 2 * token.field_tensor.shape[1]]
+    acc = np.zeros(table.shape[1])
+    for r in lit:
+        acc += table[r]
+    return acc
 
 
 def pattern_field(token: TokenModel, challenge: PixelPattern) -> np.ndarray:
@@ -324,7 +348,8 @@ def pattern_field(token: TokenModel, challenge: PixelPattern) -> np.ndarray:
     Pure superposition of the stored per-pixel fields; linear in the mask,
     so disjoint masks add: field(a | b) == field(a) + field(b).
     """
-    return (_mask_weights(token, challenge) @ token.field_tensor).reshape(token.out_dims)
+    lit = _lit_rows(token, challenge)
+    return _lit_sum(token, lit, power=False).view(np.complex128).reshape(token.out_dims)
 
 
 def _bridge_levels(decorrelation_pm: float) -> int:
@@ -434,8 +459,10 @@ def respond(token: TokenModel, challenge: Challenge, noise: NoiseParams | None =
     wavelength (one row) and masks with fewer than
     ``_GAUSSIAN_DRIFT_MIN_ROWS`` lit rows draw one phase per row and pixel.
     Denser masks draw one circular Gaussian per pixel with the same field
-    mean and variance, from the two mask sums over ``field_tensor`` and
-    ``power_tensor``. ``_capture`` then scales by the row count (at least 1).
+    mean and variance; one pass over the lit rows of ``token.rows`` adds up
+    the field and the powers together, and no unlit row is read. A noiseless
+    mask sums the field columns only. ``_capture`` then scales by the row
+    count (at least 1).
     Identical inputs (including noise_seed) give bit-identical images, and
     with all noise magnitudes zero the capture is a pure function of token
     and challenge.
@@ -450,20 +477,22 @@ def respond(token: TokenModel, challenge: Challenge, noise: NoiseParams | None =
     if isinstance(challenge, Wavelength):
         n_rows, rows = 1, wavelength_field(token, challenge).reshape(1, -1)
     else:
-        weights = _mask_weights(token, challenge)
-        n_rows = int(np.count_nonzero(weights))
+        lit = _lit_rows(token, challenge)
+        n_rows = lit.size
         if sigma_phi > 0 and n_rows < _GAUSSIAN_DRIFT_MIN_ROWS:
-            rows = token.field_tensor[np.flatnonzero(weights)]
+            rows = token.field_tensor[lit]
     if rows is not None:
         if sigma_phi > 0:
             rows = rows * np.exp(1j * rng.normal(0.0, sigma_phi, size=rows.shape))
         field = rows.sum(axis=0)
     else:
-        field = weights @ token.field_tensor
+        n_out = token.field_tensor.shape[1]
+        sums = _lit_sum(token, lit, power=sigma_phi > 0)
+        field = sums[: 2 * n_out].view(np.complex128)
         if sigma_phi > 0:
             c = math.exp(-0.5 * sigma_phi * sigma_phi)
             # per complex component: half of (1 - c^2) * sum_r |a_r|^2
-            spread = np.sqrt((0.5 * (1.0 - c * c)) * (weights @ token.power_tensor))
+            spread = np.sqrt((0.5 * (1.0 - c * c)) * sums[2 * n_out :])
             field = c * field + spread * rng.standard_normal(2 * field.size).view(np.complex128)
     field = field.reshape(token.out_dims)
     return _capture(token, field, max(n_rows, 1), noise, bit_depth, rng)

@@ -487,7 +487,7 @@ def test_loopback_error_replies(server):
         assert client.auth(rid)[0]
 
 
-def test_truncated_frame_recovers(server):
+def test_late_frame_closes_connection(server):
     srv, _, tid = server
     with ServiceClient(srv.server_address) as client:
         # announce 100 bytes, deliver 3, then stall past the frame timeout
@@ -495,10 +495,27 @@ def test_truncated_frame_recovers(server):
         reply = client.read_reply()
         assert reply[0] == OP_ERROR
         assert parse_error(reply)[0] == ERR_BAD_FRAME
-        # same socket serves a clean request immediately afterwards
+        # the frame boundary is lost, so the server hangs up
+        with pytest.raises(EOFError):
+            client.read_reply()
+    with ServiceClient(srv.server_address) as client:
         rid, _ = client.enroll(tid, chal_blob())
         accepted, _ = client.auth(rid)
         assert accepted
+
+
+def test_late_bytes_earn_no_second_reply(server):
+    # the rest of a late frame must not be parsed as the start of a new one
+    srv, _, _ = server
+    frame = encode_frame(bytes([OP_RANDOM]) + le("I", 16))
+    assert len(frame) == 9
+    with ServiceClient(srv.server_address) as client:
+        client.send_raw(frame[:6])
+        time.sleep(srv.frame_timeout + 0.2)
+        client.send_raw(frame[6:])
+        assert parse_error(client.read_reply())[0] == ERR_BAD_FRAME
+        with pytest.raises(EOFError):
+            client.read_reply()
 
 
 def test_idle_connection_stays_open(server):
@@ -516,6 +533,8 @@ def test_oversized_frame_rejected(server):
         code, message = parse_error(reply)
         assert code == ERR_BAD_FRAME
         assert str(svc.MAX_FRAME + 5) in message
+        with pytest.raises(EOFError):
+            client.read_reply()
 
 
 def test_slow_frame_rejected_at_deadline(server):
@@ -529,7 +548,10 @@ def test_slow_frame_rejected_at_deadline(server):
             for i in range(len(frame)):
                 if stop.is_set():
                     return
-                client.send_raw(frame[i : i + 1])
+                try:
+                    client.send_raw(frame[i : i + 1])
+                except OSError:   # the server has answered and closed
+                    return
                 time.sleep(0.2)
 
         sender = threading.Thread(target=trickle)

@@ -6,9 +6,12 @@ captures equals the squared magnitude of their field correlation, and pixel
 superposition is exact linearity in the transmission rows.
 """
 
+import copy
 import io
 import math
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -78,7 +81,20 @@ def test_superposition_is_exact():
     on = RNG.choice(64, size=17, replace=False)
     field = tok.pattern_field(t, mask_from_indices(t.grid_dims, on))
     oracle = t.field_tensor[np.sort(on)].sum(axis=0)
-    assert np.allclose(field.ravel(), oracle)
+    assert np.array_equal(field.ravel(), oracle)
+
+
+def test_field_tensor_is_a_view_of_the_read_only_row_table():
+    # one float64 table per token: the interleaved field, then |a|^2; the
+    # complex tensor shares its memory, so a token holds no second copy
+    t = make_token()
+    n_grid, n_out = t.field_tensor.shape
+    assert t.rows.shape == (n_grid, 3 * n_out) and t.rows.dtype == np.float64
+    assert t.field_tensor.dtype == np.complex128
+    assert np.shares_memory(t.field_tensor, t.rows)
+    assert np.array_equal(t.field_tensor.view(np.float64), t.rows[:, : 2 * n_out])
+    assert np.array_equal(t.rows[:, 2 * n_out :], np.abs(t.field_tensor) ** 2)
+    assert not t.rows.flags.writeable and not t.field_tensor.flags.writeable
 
 
 @pytest.mark.parametrize("bit_depth", [8, 16])
@@ -356,6 +372,51 @@ def test_mask_shape_must_match_grid():
     t = make_token()
     with pytest.raises(ValueError):
         tok.respond(t, tok.PixelPattern(np.ones((4, 4), dtype=np.uint8)))
+
+
+def test_dense_capture_reads_only_lit_rows():
+    # poison every unlit row with NaN: a product over the whole table would
+    # spread 0 * NaN into every pixel, a sum of the lit rows never sees it
+    t = make_token(seed=4)
+    on = RNG.choice(64, size=40, replace=False)
+    chal = mask_from_indices(t.grid_dims, on)
+    poisoned = copy.copy(t)
+    poisoned.rows = t.rows.copy()
+    poisoned.rows[np.setdiff1d(np.arange(64), on)] = np.nan
+    poisoned.field_tensor = poisoned.rows[:, : 2 * t.field_tensor.shape[1]].view(np.complex128)
+    field = tok.pattern_field(poisoned, chal)
+    assert np.all(np.isfinite(field))
+    assert np.array_equal(field, tok.pattern_field(t, chal))
+    noise = tok.NoiseParams().with_seed(3)
+    assert np.array_equal(tok.respond(poisoned, chal, noise).pixels,
+                          tok.respond(t, chal, noise).pixels)
+
+
+def test_shared_token_captures_match_serial():
+    # captures from one token in two threads at once equal the serial ones
+    t = make_token(seed=2)
+    chal = tok.random_pattern(t.grid_dims, 5)
+    assert chal.on_count >= tok._GAUSSIAN_DRIFT_MIN_ROWS
+    noises = [tok.NoiseParams().with_seed(s) for s in range(40)]
+    serial = [tok.respond(t, chal, n).pixels for n in noises]
+    got = [None] * len(noises)
+
+    def worker(half):
+        for i in range(half, len(noises), 2):
+            got[i] = tok.respond(t, chal, noises[i]).pixels
+
+    threads = [threading.Thread(target=worker, args=(h,)) for h in (0, 1)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # interleave the two captures as finely as possible
+    try:
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert all(np.array_equal(a, b) for a, b in zip(got, serial))
 
 
 # ---------------------------------------------------------------- wavelength axis
