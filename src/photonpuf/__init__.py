@@ -19,7 +19,14 @@ from .hashing import (
     svd_hash,
 )
 from .metrics import DistanceReport, cross_correlation, euclidean, fractional_hamming, hamming, overlap
-from .campaign import Campaign, CampaignResult, run_campaign, success_curve
+from .campaign import (
+    CampaignResult,
+    robustness,
+    score,
+    success_curve,
+    unclonability,
+    unpredictability,
+)
 from .protocol import (
     EnrollmentRecord,
     authenticate,

@@ -29,7 +29,6 @@ __all__ = [
     "decode",
     "params_to_bytes",
     "params_from_bytes",
-    "least_primitive_poly",
 ]
 
 _MAGIC = b"PUFB"
@@ -107,11 +106,6 @@ def _least_field(m: int) -> _Field:
         except ValueError:
             pass
     raise AssertionError(f"no primitive polynomial of degree {m}")
-
-
-def least_primitive_poly(m: int) -> int:
-    """Smallest (as integer encoding) primitive polynomial of degree m."""
-    return _least_field(m).prim_poly
 
 
 def _cyclotomic_coset(i: int, n: int):

@@ -8,7 +8,7 @@ to scrape from shell scripts, and exits 0 on success, 1 on a negative result
 from __future__ import annotations
 
 import argparse
-import dataclasses
+import itertools
 import os
 import secrets
 import sys
@@ -16,8 +16,9 @@ import sys
 import numpy as np
 
 from . import bch
-from .campaign import Campaign, run_campaign, success_curve
-from .hashing import BitKey, draw_helper, hash_apply, hash_enroll
+from .campaign import robustness, score, success_curve, unclonability, unpredictability
+from .hashing import BitKey, draw_helper, hash_apply
+from .metrics import hamming
 from .protocol import authenticate, enroll, load_record, save_record, verify
 from .randomness import ALL_TESTS, nist_test, suite_report
 from .service import DEFAULT_FRAME_TIMEOUT, PufServer, PufService, RecordStore, random_bits
@@ -68,12 +69,14 @@ def _load_challenge(path: str):
 
 def _noise_flags(parser: argparse.ArgumentParser, seeded: bool = True):
     g = parser.add_argument_group("capture noise")
-    g.add_argument("--intensity-sigma", type=float, default=None)
-    g.add_argument("--phase-sigma", type=float, default=None)
-    g.add_argument("--delta-t", type=float, default=None, help="temperature offset, degC")
-    g.add_argument("--vibration-amp", type=float, default=None,
+    default = NoiseParams()
+    g.add_argument("--intensity-sigma", type=float, default=default.intensity_sigma)
+    g.add_argument("--phase-sigma", type=float, default=default.phase_drift_sigma)
+    g.add_argument("--delta-t", type=float, default=default.delta_T,
+                   help="temperature offset, degC")
+    g.add_argument("--vibration-amp", type=float, default=default.vibration_amp,
                    help="resonant translation jitter amplitude, pixels")
-    g.add_argument("--vibration-prob", type=float, default=None)
+    g.add_argument("--vibration-prob", type=float, default=default.vibration_prob)
     if seeded:  # rng extract and serve reseed every capture themselves
         g.add_argument("--noise-seed", type=int, default=None,
                        help="repeat a capture; a fresh seed from the OS CSPRNG by default")
@@ -84,25 +87,27 @@ def _noise_from_args(args) -> NoiseParams:
     if args.no_noise:
         return NoiseParams.none()
     seed = getattr(args, "noise_seed", None)
-    base = NoiseParams(noise_seed=secrets.randbits(64) if seed is None else seed)
-    updates = {}
-    if args.intensity_sigma is not None:
-        updates["intensity_sigma"] = args.intensity_sigma
-    if args.phase_sigma is not None:
-        updates["phase_drift_sigma"] = args.phase_sigma
-    if args.delta_t is not None:
-        updates["delta_T"] = args.delta_t
-    if args.vibration_amp is not None:
-        updates["vibration_amp"] = args.vibration_amp
-    if args.vibration_prob is not None:
-        updates["vibration_prob"] = args.vibration_prob
-    return dataclasses.replace(base, **updates)
+    return NoiseParams(
+        intensity_sigma=args.intensity_sigma,
+        phase_drift_sigma=args.phase_sigma,
+        delta_T=args.delta_t,
+        vibration_amp=args.vibration_amp,
+        vibration_prob=args.vibration_prob,
+        noise_seed=secrets.randbits(64) if seed is None else seed,
+    )
 
 
-def _hash_flags(parser: argparse.ArgumentParser, default_key_len=None):
+def _eval_flags(parser: argparse.ArgumentParser, capture):
+    """Flags shared by the distance evaluations; ``capture(args, token, noise)`` returns images."""
+    parser.add_argument("--token", required=True)
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--no-hash", action="store_true")
+    parser.add_argument("--report", default=None, metavar="PREFIX")
     g = parser.add_argument_group("hashing")
     g.add_argument("--algo", choices=("rbm", "svd"), default="rbm")
-    g.add_argument("--key-len", type=int, default=default_key_len)
+    g.add_argument("--key-len", type=int, default=255)
+    _noise_flags(parser)
+    parser.set_defaults(func=_cmd_eval_distances, capture=capture)
 
 
 # ----------------------------------------------------------------------
@@ -221,28 +226,29 @@ def _cmd_auth(args) -> int:
     return 0 if accepted else 1
 
 
-def _eval_campaign(args, kind: str) -> int:
+def _capture_robustness(args, token, noise):
+    return robustness(token, _load_challenge(args.challenge), noise, args.repeats)
+
+
+def _capture_unpredictability(args, token, noise):
+    challenges = [random_pattern(token.grid_dims, args.seed + i) for i in range(args.challenges)]
+    return unpredictability(token, challenges, noise)
+
+
+def _capture_unclonability(args, token, noise):
+    # the other tokens are numbered from --seed, skipping the reference token's own seed
+    seeds = (s for s in itertools.count(args.seed) if s != token.token_seed)
+    others = list(itertools.islice(seeds, args.tokens - 1))
+    return unclonability(token, _load_challenge(args.challenge), others, noise)
+
+
+def _cmd_eval_distances(args) -> int:
     token = load_token(args.token)
-    if kind == "unpredictability":
-        challenges = tuple(
-            random_pattern(token.grid_dims, args.seed + i) for i in range(args.challenges)
-        )
-    else:
-        challenges = (_load_challenge(args.challenge),)
-    others = tuple(args.seed + i for i in range(args.tokens - 1)) if kind == "unclonability" else ()
-    campaign = Campaign(
-        kind=kind,
-        token=token,
-        challenges=challenges,
-        other_token_seeds=others,
-        noise=_noise_from_args(args),
-        repeats=getattr(args, "repeats", 2),
-    )
     # mapping seed 0: every eval of one token hashes with the same mapping
     helper = None if args.no_hash else draw_helper(args.algo, token.out_dims, args.key_len, 0)
-    result = run_campaign(campaign, helper)
+    result = score(args.action, args.capture(args, token, _noise_from_args(args)), helper)
 
-    pairs = [("kind", kind), ("pairs", result.euclidean.count)]
+    pairs = [("kind", result.kind), ("pairs", result.euclidean.count)]
     reports = [("euclidean", result.euclidean), ("correlation", result.correlation)]
     if result.hash_hamming is not None:
         reports.append(("hamming", result.hash_hamming))
@@ -262,32 +268,32 @@ def _eval_campaign(args, kind: str) -> int:
 def _cmd_eval_success_curve(args) -> int:
     token = load_token(args.token)
     params = bch.bch_new(args.bch_m, args.bch_t)
-    key_len = args.key_len if args.key_len is not None else params.n
     noise = _noise_from_args(args)
-    enroll_keys, auth_keys = [], []
+    distances = []
     for i in range(args.enrollments):
         challenge = random_pattern(token.grid_dims, args.seed + i)
-        image = respond(token, challenge, noise=noise.with_seed(noise.noise_seed + 1000 * i))
-        key, helper = hash_enroll(image, args.algo, key_len, i)
-        for j in range(args.auths):
-            noisy = respond(token, challenge, noise=noise.with_seed(noise.noise_seed + 1000 * i + j + 1))
-            enroll_keys.append(key)
-            auth_keys.append(hash_apply(noisy, helper))
-    curve = success_curve(enroll_keys, auth_keys)
-    hd = np.array([np.count_nonzero(a.bits ^ b.bits) for a, b in zip(enroll_keys, auth_keys)])
+        # capture 0 enrolls, captures 1..auths authenticate against it
+        images = robustness(token, challenge, noise.with_seed(noise.noise_seed + 1000 * i),
+                            args.auths + 1)
+        helper = draw_helper(args.algo, token.out_dims, params.n, i)
+        key, *auth_keys = [hash_apply(img, helper) for img in images]
+        distances += [hamming(key, auth_key) for auth_key in auth_keys]
+    curve = success_curve(distances, params.n)
+    hd = np.array(distances)
     pairs = [
-        ("pairs", len(enroll_keys)),
-        ("key_len", key_len),
+        ("pairs", hd.size),
+        ("key_len", params.n),
         ("hd_mean", float(hd.mean())),
         ("hd_std", float(hd.std())),
-        ("t_half", curve.threshold_for(0.5)),
-        ("t_999", curve.threshold_for(0.999)),
+        # the curve is non-decreasing: the first threshold reaching each target
+        ("t_half", int(np.searchsorted(curve, 0.5))),
+        ("t_999", int(np.searchsorted(curve, 0.999))),
         ("correctable_t", params.t),
     ]
     if args.report:
         with open(args.report, "w") as fh:
             fh.write("threshold\tprobability\n")
-            for t, prob in curve.rows():
+            for t, prob in enumerate(curve.tolist()):
                 fh.write(f"{t}\t{prob:.6f}\n")
         pairs.append(("report", args.report))
     _emit(*pairs)
@@ -413,23 +419,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_eval = sub.add_parser("eval", help="distance statistics and success curves")
     eval_sub = p_eval.add_subparsers(dest="action", required=True)
-    for kind in ("robustness", "unpredictability", "unclonability"):
-        p_kind = eval_sub.add_parser(kind)
-        p_kind.add_argument("--token", required=True)
-        if kind == "robustness":
-            p_kind.add_argument("--challenge", required=True)
-            p_kind.add_argument("--repeats", type=int, default=60)
-        elif kind == "unpredictability":
-            p_kind.add_argument("--challenges", type=int, default=100)
-        else:
-            p_kind.add_argument("--challenge", required=True)
-            p_kind.add_argument("--tokens", type=int, default=50)
-        p_kind.add_argument("--seed", type=int, default=1)
-        p_kind.add_argument("--no-hash", action="store_true")
-        p_kind.add_argument("--report", default=None, metavar="PREFIX")
-        _hash_flags(p_kind, default_key_len=255)
-        _noise_flags(p_kind)
-        p_kind.set_defaults(func=lambda a, k=kind: _eval_campaign(a, k))
+    p_rob = eval_sub.add_parser("robustness")
+    p_rob.add_argument("--challenge", required=True)
+    p_rob.add_argument("--repeats", type=int, default=60)
+    _eval_flags(p_rob, _capture_robustness)
+    p_unp = eval_sub.add_parser("unpredictability")
+    p_unp.add_argument("--challenges", type=int, default=100)
+    _eval_flags(p_unp, _capture_unpredictability)
+    p_unc = eval_sub.add_parser("unclonability")
+    p_unc.add_argument("--challenge", required=True)
+    p_unc.add_argument("--tokens", type=int, default=50)
+    _eval_flags(p_unc, _capture_unclonability)
     p_curve = eval_sub.add_parser("success-curve")
     p_curve.add_argument("--token", required=True)
     p_curve.add_argument("--enrollments", type=int, default=100)
@@ -438,7 +438,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_curve.add_argument("--bch-m", type=int, default=8)
     p_curve.add_argument("--bch-t", type=int, default=31)
     p_curve.add_argument("--report", default=None)
-    _hash_flags(p_curve)
+    p_curve.add_argument("--algo", choices=("rbm", "svd"), default="rbm")
     _noise_flags(p_curve)
     p_curve.set_defaults(func=_cmd_eval_success_curve)
 

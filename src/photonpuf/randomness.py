@@ -325,20 +325,6 @@ class SuiteReport:
     def passed(self) -> bool:
         return all(r.proportion_ok and r.uniformity_ok for r in self.rows)
 
-    def to_text(self) -> str:
-        lines = [
-            f"streams={self.n_streams} alpha={self.alpha}",
-            f"{'test':<22}{'proportion':<12}{'band':<18}{'uniformity':<12}verdict",
-        ]
-        for r in self.rows:
-            lo, hi = r.proportion_band
-            verdict = "pass" if (r.proportion_ok and r.uniformity_ok) else "FAIL"
-            lines.append(
-                f"{r.test:<22}{r.proportion:<12.4f}[{lo:.4f}, {hi:.4f}]  "
-                f"{r.uniformity_p:<12.6f}{verdict}"
-            )
-        return "\n".join(lines)
-
 
 def suite_report(streams, alpha: float = ALPHA) -> SuiteReport:
     """Aggregate the battery over many streams.

@@ -152,15 +152,6 @@ class RecordStore:
             raise KeyError(record_id.hex())
         return load_record(path)
 
-    def __contains__(self, record_id: bytes) -> bool:
-        return os.path.exists(self._path(record_id))
-
-    def ids(self) -> list:
-        out = []
-        for name in sorted(os.listdir(self._dir)):
-            if name.endswith(".pufr"):
-                out.append(bytes.fromhex(name[:-5]))
-        return out
 
 
 class PufService:

@@ -88,12 +88,12 @@ def test_least_primitive_polynomials():
     # frozen expectations, recomputed here by the independent oracle
     expected = {m: oracle_least_primitive(m) for m in range(3, 11)}
     for m in range(3, 11):
-        assert bch.least_primitive_poly(m) == expected[m]
+        assert bch.bch_new(m, 1).primitive_poly == expected[m]
     # a few anchors verified by hand: x^3+x+1, x^4+x+1, x^5+x^2+1, x^7+x+1
-    assert bch.least_primitive_poly(3) == 0b1011
-    assert bch.least_primitive_poly(4) == 0b10011
-    assert bch.least_primitive_poly(5) == 0b100101
-    assert bch.least_primitive_poly(7) == 0b10000011
+    assert bch.bch_new(3, 1).primitive_poly == 0b1011
+    assert bch.bch_new(4, 1).primitive_poly == 0b10011
+    assert bch.bch_new(5, 1).primitive_poly == 0b100101
+    assert bch.bch_new(7, 1).primitive_poly == 0b10000011
 
 
 @pytest.mark.parametrize("m", range(3, 9))

@@ -11,13 +11,13 @@ import pytest
 
 import photonpuf.campaign as campaign_mod
 from photonpuf.campaign import (
-    Campaign,
-    SuccessCurve,
-    run_campaign,
+    robustness,
+    score,
     success_curve,
-    _pairs,
+    unclonability,
+    unpredictability,
 )
-from photonpuf.hashing import BitKey, draw_helper
+from photonpuf.hashing import draw_helper
 from photonpuf.token import NoiseParams, new_token, random_pattern, respond
 
 
@@ -31,40 +31,34 @@ def mild_noise():
 
 # ---------------------------------------------------------------- validation
 
-def test_campaign_kind_validated():
-    chal = random_pattern((8, 8), 0)
-    with pytest.raises(ValueError):
-        Campaign("durability", small_token(1), (chal,))
-
-
 def test_campaign_requires_enough_material():
     chal = random_pattern((8, 8), 0)
     token = small_token(1)
     with pytest.raises(ValueError):
-        Campaign("robustness", token, (chal,), repeats=1)
+        robustness(token, chal, mild_noise(), 1)
     with pytest.raises(ValueError):
-        Campaign("unpredictability", token, (chal,))
+        unpredictability(token, (chal,), mild_noise())
     with pytest.raises(ValueError):
-        Campaign("unclonability", token, (chal,))
-    with pytest.raises(ValueError):
-        Campaign("robustness", token, ())
-    with pytest.raises(ValueError):
-        Campaign("robustness", token, (chal,), other_token_seeds=(2,))
+        unclonability(token, chal, (), mild_noise())
 
 
-def test_pairs_reference_vs_rest():
-    assert _pairs(4) == [(0, 1), (0, 2), (0, 3)]
-    assert _pairs(1) == []
+def test_unclonability_rejects_the_reference_seed():
+    token = small_token(1)
+    with pytest.raises(ValueError, match="reference seed"):
+        unclonability(token, random_pattern((8, 8), 0), (2, 1), mild_noise())
 
 
 # ---------------------------------------------------------------- campaigns
 
 def test_robustness_counts_and_determinism():
     chal = random_pattern((8, 8), 1)
-    camp = Campaign("robustness", small_token(3), (chal,),
-                    noise=mild_noise(), repeats=5)
-    res1 = run_campaign(camp)
-    res2 = run_campaign(camp)
+    token = small_token(3)
+    noise = mild_noise().with_seed(40)
+    images = robustness(token, chal, noise, 5)
+    # capture i is seeded noise_seed + i
+    assert np.array_equal(images[2].pixels, respond(token, chal, noise.with_seed(42)).pixels)
+    res1 = score("robustness", images)
+    res2 = score("robustness", robustness(token, chal, noise, 5))
     assert res1.kind == "robustness"
     assert res1.euclidean.count == 4           # reference vs the other four
     assert np.array_equal(res1.euclidean.values, res2.euclidean.values)
@@ -73,41 +67,23 @@ def test_robustness_counts_and_determinism():
 
 def test_unpredictability_counts():
     chals = tuple(random_pattern((8, 8), s) for s in range(7))
-    camp = Campaign("unpredictability", small_token(3), chals, noise=mild_noise())
-    res = run_campaign(camp)
+    res = score("unpredictability", unpredictability(small_token(3), chals, mild_noise()))
     assert res.euclidean.count == 6            # reference vs the other six
 
 
 def test_unclonability_counts():
     chal = random_pattern((8, 8), 1)
-    camp = Campaign("unclonability", small_token(0), (chal,), other_token_seeds=range(1, 6),
-                    noise=mild_noise())
-    res = run_campaign(camp)
+    res = score("unclonability", unclonability(small_token(0), chal, range(1, 6), mild_noise()))
     assert res.correlation.count == 5
 
 
 def test_hash_report_attached_when_configured():
     chal = random_pattern((8, 8), 1)
-    camp = Campaign("robustness", small_token(3), (chal,),
-                    noise=mild_noise(), repeats=4)
-    res = run_campaign(camp, draw_helper("rbm", (48, 48), 128, 0))
+    images = robustness(small_token(3), chal, mild_noise(), 4)
+    res = score("robustness", images, draw_helper("rbm", (48, 48), 128, 0))
     assert res.hash_hamming is not None
     assert res.hash_hamming.count == 3
     assert 0.0 <= res.hash_hamming.mean <= 1.0
-
-
-def test_reference_noise_applies_to_first_capture_only():
-    chal = random_pattern((8, 8), 1)
-    token = small_token(3)
-    noisy = NoiseParams(intensity_sigma=0.08, phase_drift_sigma=0.2, noise_seed=11)
-    camp = Campaign("robustness", token, (chal,), noise=noisy, repeats=3,
-                    reference_noise=NoiseParams.none())
-    images = campaign_mod._campaign_images(camp)
-    clean = respond(token, chal, NoiseParams.none())
-    assert np.array_equal(images[0].pixels, clean.pixels)
-    # later captures still carry the field noise
-    assert not np.array_equal(images[1].pixels, clean.pixels)
-    assert not np.array_equal(images[2].pixels, images[1].pixels)
 
 
 def test_regime_ordering():
@@ -115,11 +91,9 @@ def test_regime_ordering():
     token = small_token(1)
     noise = mild_noise()
     chals = tuple(random_pattern((8, 8), s, on_fraction=0.5) for s in range(9))
-    rob = run_campaign(Campaign("robustness", token, chals[:1],
-                                noise=noise, repeats=8))
-    unp = run_campaign(Campaign("unpredictability", token, chals, noise=noise))
-    unc = run_campaign(Campaign("unclonability", small_token(2), chals[:1],
-                                other_token_seeds=range(3, 11), noise=noise))
+    rob = score("robustness", robustness(token, chals[0], noise, 8))
+    unp = score("unpredictability", unpredictability(token, chals, noise))
+    unc = score("unclonability", unclonability(small_token(2), chals[0], range(3, 11), noise))
     assert rob.euclidean.mean < unp.euclidean.mean
     assert rob.correlation.mean > 0.9
     assert abs(unc.correlation.mean) < 0.2
@@ -128,51 +102,32 @@ def test_regime_ordering():
 
 # ---------------------------------------------------------------- success curve
 
-def key_pairs_with_distances(dists, key_len=16):
-    enroll, auth = [], []
-    for d in dists:
-        bits = np.zeros(key_len, dtype=np.uint8)
-        flipped = bits.copy()
-        flipped[:d] ^= 1
-        enroll.append(BitKey(bits))
-        auth.append(BitKey(flipped))
-    return enroll, auth
+def first_reaching(curve, probability):
+    return int(np.searchsorted(curve, probability))
 
 
 def test_success_curve_exact_step_positions():
-    enroll, auth = key_pairs_with_distances([0, 2, 2, 5])
-    curve = success_curve(enroll, auth)
-    assert curve.probabilities[0] == pytest.approx(0.25)   # only the d=0 pair
-    assert curve.probabilities[1] == pytest.approx(0.25)
-    assert curve.probabilities[2] == pytest.approx(0.75)
-    assert curve.probabilities[5] == pytest.approx(1.0)
-    assert curve.threshold_for(0.5) == 2
-    assert curve.threshold_for(1.0) == 5
-    assert curve.threshold_for(0.2) == 0
+    curve = success_curve([0, 2, 2, 5], 16)
+    assert curve[0] == pytest.approx(0.25)     # only the d=0 pair
+    assert curve[1] == pytest.approx(0.25)
+    assert curve[2] == pytest.approx(0.75)
+    assert curve[5] == pytest.approx(1.0)
+    assert first_reaching(curve, 0.5) == 2
+    assert first_reaching(curve, 1.0) == 5
+    assert first_reaching(curve, 0.2) == 0
 
 
 def test_success_curve_monotone_and_complete():
     rng = np.random.default_rng(8)
-    dists = rng.integers(0, 17, size=50)
-    enroll, auth = key_pairs_with_distances(dists)
-    curve = success_curve(enroll, auth)
-    assert np.all(np.diff(curve.probabilities) >= 0)
-    assert curve.probabilities[-1] == 1.0
-    assert len(curve.rows()) == 17
-
-
-def test_success_curve_unreachable_target():
-    enroll, auth = key_pairs_with_distances([3])
-    curve = success_curve(enroll, auth, thresholds=[0, 1, 2])
-    assert curve.threshold_for(1.0) is None
+    curve = success_curve(rng.integers(0, 17, size=50), 16)
+    assert np.all(np.diff(curve) >= 0)
+    assert curve[-1] == 1.0
+    assert len(curve) == 17
 
 
 def test_success_curve_validates_inputs():
-    enroll, auth = key_pairs_with_distances([1, 2])
     with pytest.raises(ValueError):
-        success_curve(enroll, auth[:1])
-    with pytest.raises(ValueError):
-        success_curve([], [])
+        success_curve([], 16)
 
 
 def test_unclonability_other_tokens_share_reference_geometry(monkeypatch):
@@ -185,9 +140,7 @@ def test_unclonability_other_tokens_share_reference_geometry(monkeypatch):
         return respond(token, challenge, noise)
 
     monkeypatch.setattr(campaign_mod, "respond", recording_respond)
-    camp = Campaign("unclonability", reference, (random_pattern((4, 4), 1),),
-                    other_token_seeds=(20, 21))
-    campaign_mod._campaign_images(camp)
+    unclonability(reference, random_pattern((4, 4), 1), (20, 21), NoiseParams())
     assert captured[0] is reference
     assert [t.token_seed for t in captured] == [9, 20, 21]
     for other in captured[1:]:

@@ -14,11 +14,18 @@ import numpy as np
 import pytest
 
 from photonpuf import bch
-from photonpuf.cli import main
+from photonpuf.cli import _build_parser, _noise_from_args, main
 from photonpuf.hashing import SvdHelper, helper_to_bytes
 from photonpuf.protocol import enroll, load_record, record_to_bytes
 from photonpuf.service import ServiceClient
-from photonpuf.token import TokenModel, challenge_to_bytes, load_pgm, random_pattern, save_pgm
+from photonpuf.token import (
+    NoiseParams,
+    TokenModel,
+    challenge_to_bytes,
+    load_pgm,
+    random_pattern,
+    save_pgm,
+)
 
 
 def run_cli(capsys, *argv):
@@ -131,6 +138,21 @@ def test_capture_draws_fresh_noise_without_seed(workdir, tmp_path, capsys):
                              "--challenge", str(workdir / "c.chal"), "--output", str(shot))
         assert code == 0
     assert shots[0].read_bytes() != shots[1].read_bytes()
+
+
+@pytest.mark.parametrize("flags, expected", [
+    ((), NoiseParams(noise_seed=5)),
+    (("--intensity-sigma", "0.05"), NoiseParams(intensity_sigma=0.05, noise_seed=5)),
+    (("--phase-sigma", "0.3"), NoiseParams(phase_drift_sigma=0.3, noise_seed=5)),
+    (("--delta-t", "2.5"), NoiseParams(delta_T=2.5, noise_seed=5)),
+    (("--vibration-amp", "1.5"), NoiseParams(vibration_amp=1.5, noise_seed=5)),
+    (("--vibration-prob", "0.25"), NoiseParams(vibration_prob=0.25, noise_seed=5)),
+    (("--no-noise",), NoiseParams.none()),
+], ids=["defaults", "intensity", "phase", "delta-t", "vibration-amp", "vibration-prob", "none"])
+def test_each_noise_flag_sets_its_own_field(flags, expected):
+    args = _build_parser().parse_args(["capture", "--token", "t.puft", "--challenge", "c.chal",
+                                       "--output", "o.pgm", "--noise-seed", "5", *flags])
+    assert _noise_from_args(args) == expected
 
 
 def test_capture_missing_token_file(workdir, tmp_path, capsys):
@@ -285,6 +307,17 @@ def test_eval_unclonability(workdir, capsys):
     assert 0.3 < float(kv["hd_mean"]) < 0.7
 
 
+def test_eval_unclonability_skips_the_reference_seed(workdir, capsys):
+    # numbering the other tokens from the reference token's own seed must not pair it with itself
+    code, kv, _ = run_cli(capsys, "eval", "unclonability",
+                          "--token", str(workdir / "tok.puft"),
+                          "--challenge", str(workdir / "c.chal"), "--seed", "7", "--tokens", "2")
+    assert code == 0
+    assert kv["pairs"] == "1"
+    assert abs(float(kv["cc_mean"])) < 0.3
+    assert 0.3 < float(kv["hd_mean"]) < 0.7
+
+
 def test_eval_svd_variant(workdir, tmp_path, capsys):
     # the block-SVD hash at its default geometry needs a camera of at least 48x48
     token = tmp_path / "big.puft"
@@ -345,6 +378,14 @@ def test_eval_success_curve(workdir, tmp_path, capsys):
     assert lines[0] == "threshold\tprobability"
     assert len(lines) == 1 + 16                 # thresholds 0..15
     assert lines[-1].endswith("1.000000")
+
+
+def test_eval_success_curve_key_len_flag_is_a_usage_error(workdir):
+    # the curve is read against the code's t, so its key length is the code length
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "success-curve", "--token", str(workdir / "tok.puft"),
+              "--bch-m", "4", "--bch-t", "3", "--key-len", "15"])
+    assert exc.value.code == 2
 
 
 # ---------------------------------------------------------------- rng

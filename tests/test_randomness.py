@@ -365,9 +365,6 @@ def test_suite_report_good_ensemble():
     assert report.n_streams == 40
     assert len(report.rows) == len(ALL_TESTS)
     assert report.passed
-    text = report.to_text()
-    assert "streams=40" in text
-    assert "FAIL" not in text
 
 
 def test_suite_report_flags_bias():
@@ -377,7 +374,6 @@ def test_suite_report_flags_bias():
     assert not report.passed
     by_name = {r.test: r for r in report.rows}
     assert not by_name["frequency"].proportion_ok
-    assert "FAIL" in report.to_text()
 
 
 def test_suite_report_flags_identical_streams():

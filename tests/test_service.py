@@ -52,6 +52,14 @@ from photonpuf._binio import le
 pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
 
 
+def stored_files(directory):
+    return sorted(os.listdir(directory))
+
+
+def record_files(rids):
+    return sorted(f"{rid.hex()}.pufr" for rid in rids)
+
+
 def make_service(tmp_path, **kw):
     store = RecordStore(tmp_path / "records")
     service = PufService(store, bch_params=bch.bch_new(4, 3), **kw)
@@ -178,10 +186,10 @@ def test_record_store_roundtrip(tmp_path):
     store = RecordStore(tmp_path / "records")
     img = np.random.default_rng(0).exponential(size=(16, 16))
     _, record = enroll(img, bch.bch_new(4, 3))
-    assert record.record_id not in store
+    with pytest.raises(KeyError):
+        store.load(record.record_id)
     store.save(record)
-    assert record.record_id in store
-    assert store.ids() == [record.record_id]
+    assert stored_files(tmp_path / "records") == record_files([record.record_id])
     back = store.load(record.record_id)
     assert back.key_digest == record.key_digest
     with pytest.raises(KeyError):
@@ -269,7 +277,7 @@ def test_enroll_then_auth_in_process(tmp_path, counted_entropy):
     assert reply[0] == OP_RESULT and reply[1] == OP_ENROLL
     rid, digest = reply[2:18], reply[18:50]
     assert len(digest) == 32
-    assert rid in service.store
+    assert service.store.load(rid).key_digest == digest
 
     auth = service.handle_payload(bytes([OP_AUTH]) + rid)
     assert auth[0] == OP_RESULT and auth[1] == OP_AUTH
@@ -285,7 +293,7 @@ def test_two_enrollments_get_distinct_records(tmp_path):
     r1 = service.handle_payload(msg)
     r2 = service.handle_payload(msg)
     assert r1[2:18] != r2[2:18]
-    assert len(service.store.ids()) == 2
+    assert stored_files(tmp_path / "records") == record_files([r1[2:18], r2[2:18]])
 
 
 def enroll_msg(tid, blob):
@@ -317,7 +325,7 @@ def test_restarted_service_keeps_existing_records(tmp_path):
         assert reply[:2] == bytes([OP_RESULT, OP_ENROLL])
         rids.append(reply[2:18])
     assert rids[0] != rids[1]
-    assert sorted(RecordStore(tmp_path / "records").ids()) == sorted(rids)
+    assert stored_files(tmp_path / "records") == record_files(rids)
 
 
 def test_restarted_service_draws_fresh_random_bits(tmp_path):
@@ -589,7 +597,7 @@ def test_concurrent_auths_agree(server):
     assert all(outcomes)
 
 
-def test_concurrent_enrolls_on_one_token(server):
+def test_concurrent_enrolls_on_one_token(server, tmp_path):
     srv, service, tid = server
     rids = []
     lock = threading.Lock()
@@ -613,6 +621,6 @@ def test_concurrent_enrolls_on_one_token(server):
     assert not any(t.is_alive() for t in threads)
     assert len(rids) == 6
     assert len(set(rids)) == 6
-    assert sorted(service.store.ids()) == sorted(rids)  # one .pufr file per record
+    assert stored_files(tmp_path / "records") == record_files(rids)  # one .pufr file per record
     with ServiceClient(srv.server_address) as c:
         assert all(c.auth(rid)[0] for rid in rids)
