@@ -100,7 +100,6 @@ def _noise_from_args(args) -> NoiseParams:
 def _eval_flags(parser: argparse.ArgumentParser, capture):
     """Flags shared by the distance evaluations; ``capture(args, token, noise)`` returns images."""
     parser.add_argument("--token", required=True)
-    parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--no-hash", action="store_true")
     parser.add_argument("--report", default=None, metavar="PREFIX")
     g = parser.add_argument_group("hashing")
@@ -425,10 +424,13 @@ def _build_parser() -> argparse.ArgumentParser:
     _eval_flags(p_rob, _capture_robustness)
     p_unp = eval_sub.add_parser("unpredictability")
     p_unp.add_argument("--challenges", type=int, default=100)
+    p_unp.add_argument("--seed", type=int, default=1, help="seed of the first random challenge")
     _eval_flags(p_unp, _capture_unpredictability)
     p_unc = eval_sub.add_parser("unclonability")
     p_unc.add_argument("--challenge", required=True)
     p_unc.add_argument("--tokens", type=int, default=50)
+    p_unc.add_argument("--seed", type=int, default=1,
+                       help="first other token's seed; the reference token's own seed is skipped")
     _eval_flags(p_unc, _capture_unclonability)
     p_curve = eval_sub.add_parser("success-curve")
     p_curve.add_argument("--token", required=True)

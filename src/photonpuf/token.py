@@ -6,9 +6,10 @@ token seed. Illuminating a subset of challenge pixels superimposes the
 corresponding rows coherently; the camera sees the squared magnitude. That
 minimal model already produces fully developed speckle (exponential intensity
 statistics) and exact field superposition between challenges. The tensor is
-stored as one read-only float64 row table per token, each row the
-interleaved (re, im) field of one challenge pixel followed by its powers
-``|a|^2``.
+stored as one read-only float32 row table per token (48 MiB at the default
+geometry), each row the interleaved (re, im) field of one challenge pixel
+followed by its powers ``|a|^2``; captures add up lit rows in single
+precision and carry on in double precision.
 
 Wavelength is a second challenge axis: the per-pixel field evolves with
 wavelength as a stationary Gauss-Markov (Ornstein-Uhlenbeck) process,
@@ -90,7 +91,8 @@ _HEADROOM = 4.0
 _DRIFT_COEFF = 0.2
 
 # most field tensor elements (grid x camera pixels) a token may have: about
-# 4x the default 256 x 16384, so a hostile token file cannot demand gigabytes
+# 4x the default 256 x 16384, 12 bytes each in the float32 row table (192 MiB
+# at the limit), so a hostile token file cannot demand gigabytes
 MAX_FIELD_ELEMENTS = 2 ** 24
 
 _TAG_FIELD = 0x1A57
@@ -210,14 +212,16 @@ class NoiseParams:
 class TokenModel:
     """An instantiated token: seed, geometry and the realized field tensor.
 
-    ``rows`` is a read-only float64 table of shape ``(n_grid, 3 * n_out)``,
+    ``rows`` is a read-only float32 table of shape ``(n_grid, 3 * n_out)``,
     one row per modulator pixel: columns ``[0, 2 * n_out)`` hold the
     interleaved (re, im) field at each camera pixel and the last ``n_out``
-    its power ``|a|^2``. ``field_tensor`` is a complex128 view of the field
-    columns, not a copy. The table is fully determined by (token_seed, kind,
-    grid_dims, out_dims); two constructions from the same parameters are
-    identical. Instances are immutable (every query is a pure function of
-    the descriptor) and safe to share across threads.
+    its power ``|a|^2``. ``field_tensor`` is a complex64 view of the field
+    columns, not a copy. The field is a float64 circular Gaussian draw,
+    scaled by ``1/sqrt(2)`` and rounded once to float32. The table is fully
+    determined by (token_seed, kind, grid_dims, out_dims); two constructions
+    from the same parameters are identical. Instances are immutable (every
+    query is a pure function of the descriptor) and safe to share across
+    threads.
     """
 
     def __init__(self, token_seed, kind, grid_dims, out_dims,
@@ -253,11 +257,11 @@ class TokenModel:
                 [self.token_seed, _KIND_CODE[kind], *grid_dims, *out_dims, _TAG_FIELD]
             )
         )
-        self.rows = np.empty((n_grid, 3 * n_out))
-        self.field_tensor = self.rows[:, : 2 * n_out].view(np.complex128)
-        self.field_tensor.real = rng.standard_normal((n_grid, n_out))
-        self.field_tensor.imag = rng.standard_normal((n_grid, n_out))
-        self.field_tensor /= np.sqrt(2.0)
+        self.rows = np.empty((n_grid, 3 * n_out), dtype=np.float32)
+        self.field_tensor = self.rows[:, : 2 * n_out].view(np.complex64)
+        for part in (self.field_tensor.real, self.field_tensor.imag):
+            # float64 draws scaled in float64, rounded once to float32
+            np.divide(rng.standard_normal((n_grid, n_out)), np.sqrt(2.0), out=part)
         # incoherent row powers |a|^2, the variance weights of the Gaussian drift
         power = self.rows[:, 2 * n_out :]
         np.abs(self.field_tensor, out=power)
@@ -333,13 +337,15 @@ def _lit_sum(token: TokenModel, lit: np.ndarray, power: bool) -> np.ndarray:
     """Interleaved field sum of the lit rows, then ``sum_r |a_r|^2`` if ``power``.
 
     Each add is one single-threaded ufunc call that releases the GIL and
-    reads one lit row; the field equals ``field_tensor[lit].sum(axis=0)``.
+    reads one lit row; the sum runs in the table's precision and equals
+    ``field_tensor[lit].sum(axis=0)``. It is returned as float64, so the rest
+    of a capture runs in double precision whatever numpy's promotion rules.
     """
     table = token.rows if power else token.rows[:, : 2 * token.field_tensor.shape[1]]
-    acc = np.zeros(table.shape[1])
+    acc = np.zeros(table.shape[1], dtype=table.dtype)
     for r in lit:
         acc += table[r]
-    return acc
+    return acc.astype(np.float64)
 
 
 def pattern_field(token: TokenModel, challenge: PixelPattern) -> np.ndarray:

@@ -318,6 +318,14 @@ def test_eval_unclonability_skips_the_reference_seed(workdir, capsys):
     assert 0.3 < float(kv["hd_mean"]) < 0.7
 
 
+def test_eval_robustness_seed_flag_is_a_usage_error(workdir):
+    # robustness repeats one challenge on one token, so it has nothing to number
+    with pytest.raises(SystemExit) as exc:
+        main(["eval", "robustness", "--token", str(workdir / "tok.puft"),
+              "--challenge", str(workdir / "c.chal"), "--seed", "1"])
+    assert exc.value.code == 2
+
+
 def test_eval_svd_variant(workdir, tmp_path, capsys):
     # the block-SVD hash at its default geometry needs a camera of at least 48x48
     token = tmp_path / "big.puft"

@@ -8,6 +8,7 @@ both the key and the committed secret except through the one-time-pad offset.
 
 import dataclasses
 import itertools
+import pathlib
 import struct
 
 import numpy as np
@@ -26,7 +27,15 @@ from photonpuf.protocol import (
     save_record,
     verify,
 )
-from photonpuf.token import PixelPattern, SpeckleImage, random_pattern
+from photonpuf.token import (
+    NoiseParams,
+    PixelPattern,
+    SpeckleImage,
+    new_token,
+    random_pattern,
+    respond,
+    token_id,
+)
 
 RNG = np.random.default_rng(20260814)
 
@@ -264,3 +273,19 @@ def test_frozen_containers_own_their_arrays(name):
     source.flat[0] += 1                          # the caller's array stays writable
     assert getattr(obj, field).tobytes() == before
     assert hash(obj) == hashed
+
+
+def test_record_from_a_float64_token_table_still_authenticates():
+    # enrolled from a noiseless capture while token tables were float64:
+    # token seed 3, 8x8 grid, 64x64 camera, challenge random_pattern(grid, 5),
+    # rbm, BCH(255, t=31); the float32 table must still answer it
+    record = load_record(pathlib.Path(__file__).parent / "data" / "rbm_8x8_64x64_seed3.pufr")
+    token = new_token(3, grid_dims=(8, 8), out_dims=(64, 64))
+    assert record.token_id == token_id(token)
+    assert np.array_equal(record.challenge.mask, random_pattern((8, 8), 5).mask)
+    for seed in range(3):
+        result = authenticate(respond(token, record.challenge, NoiseParams().with_seed(seed)),
+                              record)
+        assert result is not None
+        key, corrected = result
+        assert verify(key, record) and corrected <= record.bch_params.t

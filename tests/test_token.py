@@ -85,16 +85,61 @@ def test_superposition_is_exact():
 
 
 def test_field_tensor_is_a_view_of_the_read_only_row_table():
-    # one float64 table per token: the interleaved field, then |a|^2; the
+    # one float32 table per token: the interleaved field, then |a|^2; the
     # complex tensor shares its memory, so a token holds no second copy
     t = make_token()
     n_grid, n_out = t.field_tensor.shape
-    assert t.rows.shape == (n_grid, 3 * n_out) and t.rows.dtype == np.float64
-    assert t.field_tensor.dtype == np.complex128
+    assert t.rows.shape == (n_grid, 3 * n_out) and t.rows.dtype == np.float32
+    assert t.field_tensor.dtype == np.complex64
     assert np.shares_memory(t.field_tensor, t.rows)
-    assert np.array_equal(t.field_tensor.view(np.float64), t.rows[:, : 2 * n_out])
+    assert np.array_equal(t.field_tensor.view(np.float32), t.rows[:, : 2 * n_out])
     assert np.array_equal(t.rows[:, 2 * n_out :], np.abs(t.field_tensor) ** 2)
     assert not t.rows.flags.writeable and not t.field_tensor.flags.writeable
+
+
+def test_rows_are_the_float64_draw_rounded_once():
+    # the same realization as a float64 table: the field is draw / sqrt(2) in
+    # float64, real parts first, then imaginary, each rounded once to float32
+    t = make_token(seed=9)
+    n_grid, n_out = t.field_tensor.shape
+    rng = np.random.default_rng(np.random.SeedSequence(
+        [9, tok._KIND_CODE["diffuser"], *t.grid_dims, *t.out_dims, tok._TAG_FIELD]))
+    real = rng.standard_normal((n_grid, n_out)) / np.sqrt(2.0)
+    imag = rng.standard_normal((n_grid, n_out)) / np.sqrt(2.0)
+    assert np.array_equal(t.rows[:, 0 : 2 * n_out : 2], real.astype(np.float32))
+    assert np.array_equal(t.rows[:, 1 : 2 * n_out : 2], imag.astype(np.float32))
+
+
+def test_default_token_table_is_48_mib():
+    assert tok.new_token(1).rows.nbytes == 48 * 2 ** 20
+
+
+def test_single_precision_field_sum_is_close_to_double():
+    t = make_token(seed=3)
+    for on in (RNG.choice(64, size=40, replace=False), np.arange(64)):
+        field = tok.pattern_field(t, mask_from_indices(t.grid_dims, on))
+        exact = t.field_tensor[np.sort(on)].astype(np.complex128).sum(axis=0)
+        assert field.dtype == np.complex128
+        assert np.max(np.abs(field.ravel() - exact)) <= 1e-5 * np.max(np.abs(exact))
+
+
+def test_capture_after_the_sum_runs_in_double_precision():
+    # rows on a 1/16 grid add up exactly in float32, so a complex64 table and
+    # its float64 copy give the same sums; identical 16-bit frames then pin
+    # grain filter, drift and quantization to float64 on any numpy version
+    t = make_token(seed=8, grain=1.5)
+    n_out = t.field_tensor.shape[1]
+    parts = np.round(np.clip(t.rows[:, : 2 * n_out], -4, 4) * 16) / 16
+    single, double = copy.copy(t), copy.copy(t)
+    single.rows = np.concatenate([parts, parts[:, 0::2] ** 2 + parts[:, 1::2] ** 2], axis=1)
+    single.field_tensor = single.rows[:, : 2 * n_out].view(np.complex64)
+    double.rows = single.rows.astype(np.float64)
+    double.field_tensor = double.rows[:, : 2 * n_out].view(np.complex128)
+    for on in ([5], [3, 40, 17], range(0, 64, 2)):
+        chal = mask_from_indices(t.grid_dims, on)
+        for noise in (tok.NoiseParams.none(), tok.NoiseParams().with_seed(4)):
+            assert np.array_equal(tok.respond(single, chal, noise, bit_depth=16).pixels,
+                                  tok.respond(double, chal, noise, bit_depth=16).pixels)
 
 
 @pytest.mark.parametrize("bit_depth", [8, 16])
@@ -107,7 +152,8 @@ def test_capture_pipeline_matches_manual_recomputation(on, grain, bit_depth):
     img = tok.respond(t, mask_from_indices(t.grid_dims, on), noise=tok.NoiseParams.none(),
                       bit_depth=bit_depth)
 
-    field = t.field_tensor[np.sort(on)].sum(axis=0).reshape(t.out_dims)
+    # rows add up in the table's single precision, the rest runs in double
+    field = t.field_tensor[np.sort(on)].sum(axis=0).astype(np.complex128).reshape(t.out_dims)
     if grain > 0:
         fy = np.fft.fftfreq(t.out_dims[0])
         fx = np.fft.fftfreq(t.out_dims[1])
@@ -383,7 +429,8 @@ def test_dense_capture_reads_only_lit_rows():
     poisoned = copy.copy(t)
     poisoned.rows = t.rows.copy()
     poisoned.rows[np.setdiff1d(np.arange(64), on)] = np.nan
-    poisoned.field_tensor = poisoned.rows[:, : 2 * t.field_tensor.shape[1]].view(np.complex128)
+    poisoned.field_tensor = (poisoned.rows[:, : 2 * t.field_tensor.shape[1]]
+                             .view(t.field_tensor.dtype))
     field = tok.pattern_field(poisoned, chal)
     assert np.all(np.isfinite(field))
     assert np.array_equal(field, tok.pattern_field(t, chal))
