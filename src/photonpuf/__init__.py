@@ -8,17 +8,8 @@ helpers quantify robustness, unpredictability, unclonability and randomness.
 """
 
 from .bch import BchParams, bch_new, decode, encode
-from .hashing import (
-    BitKey,
-    RbmHelper,
-    SvdHelper,
-    hash_apply,
-    hash_enroll,
-    rbm_hash,
-    standardize,
-    svd_hash,
-)
-from .metrics import DistanceReport, cross_correlation, euclidean, fractional_hamming, hamming, overlap
+from .hashing import BitKey, RbmHelper, hash_apply, hash_enroll, standardize
+from .metrics import DistanceReport, cross_correlation, euclidean, fractional_hamming, hamming
 from .campaign import (
     CampaignResult,
     robustness,

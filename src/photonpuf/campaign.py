@@ -12,7 +12,7 @@ canonical dataset shapes and returns its captures, reference first:
 Capture i uses noise seed ``noise.noise_seed + i``. ``score`` compares the
 reference with every later capture, mirroring how authentication compares
 field captures to the enrolled key. When a hash helper is supplied (one drawn
-for the token's camera geometry, for example with ``hashing.draw_helper``),
+for the token's camera geometry, for example with ``hashing.rbm_helper``),
 every capture is hashed with it and a Hamming report sits next to the
 Euclidean and correlation ones.
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bch
 from .campaign import robustness, score, success_curve, unclonability, unpredictability
-from .hashing import BitKey, draw_helper, hash_apply
+from .hashing import BitKey, hash_apply, rbm_helper
 from .metrics import hamming
 from .protocol import authenticate, enroll, load_record, save_record, verify
 from .randomness import ALL_TESTS, nist_test, suite_report
@@ -102,9 +102,7 @@ def _eval_flags(parser: argparse.ArgumentParser, capture):
     parser.add_argument("--token", required=True)
     parser.add_argument("--no-hash", action="store_true")
     parser.add_argument("--report", default=None, metavar="PREFIX")
-    g = parser.add_argument_group("hashing")
-    g.add_argument("--algo", choices=("rbm", "svd"), default="rbm")
-    g.add_argument("--key-len", type=int, default=255)
+    parser.add_argument("--key-len", type=int, default=255)
     _noise_flags(parser)
     parser.set_defaults(func=_cmd_eval_distances, capture=capture)
 
@@ -192,7 +190,7 @@ def _cmd_enroll(args) -> int:
         challenge = _load_challenge(args.challenge)
         tid = token_id(token)
         image = respond(token, challenge, noise=_noise_from_args(args))
-    _, record = enroll(image, params, algo=args.algo, token_id=tid, challenge=challenge)
+    _, record = enroll(image, params, token_id=tid, challenge=challenge)
     save_record(record, args.record)
     _emit(
         ("record_id", record.record_id.hex()),
@@ -244,7 +242,7 @@ def _capture_unclonability(args, token, noise):
 def _cmd_eval_distances(args) -> int:
     token = load_token(args.token)
     # mapping seed 0: every eval of one token hashes with the same mapping
-    helper = None if args.no_hash else draw_helper(args.algo, token.out_dims, args.key_len, 0)
+    helper = None if args.no_hash else rbm_helper(token.out_dims, args.key_len, 0)
     result = score(args.action, args.capture(args, token, _noise_from_args(args)), helper)
 
     pairs = [("kind", result.kind), ("pairs", result.euclidean.count)]
@@ -274,7 +272,7 @@ def _cmd_eval_success_curve(args) -> int:
         # capture 0 enrolls, captures 1..auths authenticate against it
         images = robustness(token, challenge, noise.with_seed(noise.noise_seed + 1000 * i),
                             args.auths + 1)
-        helper = draw_helper(args.algo, token.out_dims, params.n, i)
+        helper = rbm_helper(token.out_dims, params.n, i)
         key, *auth_keys = [hash_apply(img, helper) for img in images]
         distances += [hamming(key, auth_key) for auth_key in auth_keys]
     curve = success_curve(distances, params.n)
@@ -405,7 +403,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enroll.add_argument("--record", required=True)
     p_enroll.add_argument("--bch-m", type=int, default=8)
     p_enroll.add_argument("--bch-t", type=int, default=31)
-    p_enroll.add_argument("--algo", choices=("rbm", "svd"), default="rbm")
     _noise_flags(p_enroll)
     p_enroll.set_defaults(func=_cmd_enroll)
 
@@ -440,7 +437,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_curve.add_argument("--bch-m", type=int, default=8)
     p_curve.add_argument("--bch-t", type=int, default=31)
     p_curve.add_argument("--report", default=None)
-    p_curve.add_argument("--algo", choices=("rbm", "svd"), default="rbm")
     _noise_flags(p_curve)
     p_curve.set_defaults(func=_cmd_eval_success_curve)
 

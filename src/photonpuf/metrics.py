@@ -17,7 +17,6 @@ __all__ = [
     "fractional_hamming",
     "cross_correlation",
     "DistanceReport",
-    "overlap",
 ]
 
 
@@ -124,35 +123,3 @@ def _edges(values: np.ndarray, width: float) -> np.ndarray:
     nbins = int(np.ceil(min(np.ptp(values) / width, _MAX_BINS))) if width > 0 else 1
     return np.histogram_bin_edges(values, bins=nbins)
 
-
-def overlap(report_a: DistanceReport, report_b: DistanceReport) -> float:
-    """Overlap coefficient of two distance distributions.
-
-    Sum over shared bins of min(p_a, p_b) with both histograms normalized to
-    unit mass. When the stored binnings differ, both samples are re-binned on
-    a common grid spanning the pooled range. The grid step is the finer of
-    the two reports' own Freedman-Diaconis widths: a pooled-sample width is
-    useless here, because for well-separated distributions the pooled IQR
-    measures the gap between the clusters rather than either one's spread.
-    """
-    if report_a.count == 0 or report_b.count == 0:
-        raise ValueError("cannot compute overlap of an empty report")
-    if (
-        report_a.bin_edges.size == report_b.bin_edges.size
-        and np.allclose(report_a.bin_edges, report_b.bin_edges)
-    ):
-        edges = report_a.bin_edges
-    else:
-        pooled = np.concatenate([report_a.values, report_b.values])
-        if np.ptp(pooled) == 0:
-            return 1.0
-        # a constant sample has width 0 and no spread to offer; two distinct
-        # constants get the finest grid
-        widths = [_fd_bin_width(r.values) for r in (report_a, report_b)]
-        width = min((w for w in widths if w > 0), default=np.ptp(pooled) / _MAX_BINS)
-        edges = _edges(pooled, width)
-    pa, _ = np.histogram(report_a.values, bins=edges)
-    pb, _ = np.histogram(report_b.values, bins=edges)
-    pa = pa / report_a.count
-    pb = pb / report_b.count
-    return float(np.minimum(pa, pb).sum())

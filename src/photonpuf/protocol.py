@@ -25,7 +25,7 @@ import numpy as np
 
 from . import bch
 from ._binio import Reader, frozen_array, le, pack_bits, packed_size, unpack_bits
-from .hashing import BitKey, hash_apply, hash_enroll, helper_from_bytes, helper_to_bytes
+from .hashing import BitKey, RbmHelper, hash_apply, hash_enroll, helper_from_bytes, helper_to_bytes
 from .token import Challenge, challenge_from_bytes, challenge_to_bytes
 
 __all__ = [
@@ -53,7 +53,7 @@ class EnrollmentRecord:
     record_id: bytes
     token_id: bytes
     challenge: Challenge | None
-    hash_helper: object
+    hash_helper: RbmHelper
     code_offset: np.ndarray
     bch_params: bch.BchParams
     key_digest: bytes
@@ -77,19 +77,18 @@ def key_digest(key: BitKey) -> bytes:
     return hashlib.sha256(key.to_bytes()).digest()
 
 
-def enroll(image, bch_params: bch.BchParams, algo: str = "rbm",
-           token_id: bytes = b"\x00" * 16,
+def enroll(image, bch_params: bch.BchParams, token_id: bytes = b"\x00" * 16,
            challenge: Challenge | None = None) -> tuple[BitKey, EnrollmentRecord]:
     """Enroll one capture; returns the (secret) enrollment key and the record.
 
-    ``algo`` names the hash ("rbm" or "svd", at its default geometry). The
-    key is ``bch_params.n`` bits long, so the code offset covers all of
-    it. The hash helper's mapping seed, the committed secret and the record
-    id come from the operating system's CSPRNG, so public helper data never
-    reveals how to rebuild them.
+    The capture is hashed with a fresh random binary mapping into a key of
+    ``bch_params.n`` bits, so the code offset covers all of it. The
+    mapping seed, the committed secret and the record id come from the
+    operating system's CSPRNG, so public helper data never reveals how to
+    rebuild them.
     """
     # hash_enroll: a module global that perfbench/tracing.py wraps
-    enroll_key, helper = hash_enroll(image, algo, bch_params.n, secrets.randbits(64))
+    enroll_key, helper = hash_enroll(image, bch_params.n, secrets.randbits(64))
     secret = unpack_bits(secrets.token_bytes(packed_size(bch_params.k)), bch_params.k)
     code_offset = enroll_key.bits ^ bch.encode(bch_params, secret)
     record = EnrollmentRecord(

@@ -187,7 +187,9 @@ class NoiseParams:
     probability vibration_prob per capture the frame is translated by about
     vibration_amp pixels (within +-20%) in a uniformly random direction.
     noise_seed makes the capture reproducible; all-zero magnitudes give
-    bit-exact deterministic output.
+    bit-exact deterministic output. Magnitudes must be finite and
+    non-negative, delta_T finite (either sign) and vibration_prob in [0, 1];
+    anything else raises ValueError.
     """
 
     intensity_sigma: float = 0.01
@@ -196,6 +198,18 @@ class NoiseParams:
     vibration_amp: float = 0.0
     vibration_prob: float = 0.0
     noise_seed: int = 0
+
+    def __post_init__(self):
+        # the capture tests each magnitude with "> 0", so a negative or NaN one
+        # would silently read as no noise at all
+        for name in ("intensity_sigma", "phase_drift_sigma", "vibration_amp"):
+            value = getattr(self, name)
+            if not 0 <= value < math.inf:
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
+        if not math.isfinite(self.delta_T):
+            raise ValueError(f"delta_T must be finite, got {self.delta_T}")
+        if not 0 <= self.vibration_prob <= 1:
+            raise ValueError(f"vibration_prob must be in [0, 1], got {self.vibration_prob}")
 
     @classmethod
     def none(cls) -> "NoiseParams":

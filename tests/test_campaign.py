@@ -17,7 +17,7 @@ from photonpuf.campaign import (
     unclonability,
     unpredictability,
 )
-from photonpuf.hashing import draw_helper
+from photonpuf.hashing import rbm_helper
 from photonpuf.token import NoiseParams, new_token, random_pattern, respond
 
 
@@ -80,7 +80,7 @@ def test_unclonability_counts():
 def test_hash_report_attached_when_configured():
     chal = random_pattern((8, 8), 1)
     images = robustness(small_token(3), chal, mild_noise(), 4)
-    res = score("robustness", images, draw_helper("rbm", (48, 48), 128, 0))
+    res = score("robustness", images, rbm_helper((48, 48), 128, 0))
     assert res.hash_hamming is not None
     assert res.hash_hamming.count == 3
     assert 0.0 <= res.hash_hamming.mean <= 1.0

@@ -9,6 +9,7 @@ overwritten, cut short or extended, over tiny geometry so that each example
 runs in milliseconds.
 """
 
+import pathlib
 from unittest import mock
 
 import pytest
@@ -17,9 +18,9 @@ from hypothesis import strategies as st
 
 from photonpuf import bch
 from photonpuf import token as tok
-from photonpuf._binio import le
+from photonpuf._binio import Reader, le
 from photonpuf.errors import FormatError
-from photonpuf.hashing import BitKey, helper_from_bytes, helper_to_bytes, rbm_helper, svd_helper
+from photonpuf.hashing import BitKey, helper_from_bytes, helper_to_bytes, rbm_helper
 from photonpuf.protocol import enroll, record_from_bytes, record_to_bytes
 from photonpuf.service import (
     ERR_INTERNAL,
@@ -58,10 +59,21 @@ def hostile(blobs):
 
 TOKEN_BLOBS = [tok.token_to_bytes(tok.new_token(5, kind="pof", grid_dims=(2, 2), out_dims=(4, 4)))]
 CHALLENGE_BLOBS = [tok.challenge_to_bytes(c) for c in (PATTERN, tok.Wavelength(1550.0), None)]
-HELPER_BLOBS = [helper_to_bytes(rbm_helper(OUT, 10, 1)),
-                helper_to_bytes(svd_helper(OUT, 16, 1, k1=8, k2=4, p=4, r=2))]
+
+
+def _record_helper_blob(record_blob):
+    """The hash helper container inside an enrollment record container."""
+    r = Reader(record_blob)
+    r.take(4 + 2 + 16 + 16)                  # magic, version, record id, token id
+    r.take(r.unpack("I"))                    # challenge
+    return r.take(r.unpack("I"))
+
+
+# a record enrolled with the removed block-SVD hash: it and its helper now fail to parse
+SVD_RECORD = (pathlib.Path(__file__).parent / "data" / "svd_8x8_64x64_seed5.pufr").read_bytes()
+HELPER_BLOBS = [helper_to_bytes(rbm_helper(OUT, 10, 1)), _record_helper_blob(SVD_RECORD)]
 BCH_BLOBS = [bch.params_to_bytes(CODE), bch.params_to_bytes(bch.bch_new(5, 2))]
-RECORD_BLOBS = [record_to_bytes(enroll(IMAGE, CODE, challenge=PATTERN)[1])]
+RECORD_BLOBS = [record_to_bytes(enroll(IMAGE, CODE, challenge=PATTERN)[1]), SVD_RECORD]
 KEY_BLOBS = [BitKey([1, 0, 1, 1, 0, 0, 1, 0, 1]).to_bytes()]
 
 

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from photonpuf import bch, errors, protocol
-from photonpuf.hashing import BitKey, RbmHelper, SvdHelper, helper_to_bytes, rbm_hash, rbm_helper
+from photonpuf.hashing import BitKey, RbmHelper, hash_apply, helper_to_bytes, rbm_helper
 from photonpuf.protocol import (
     authenticate,
     enroll,
@@ -89,7 +89,7 @@ def test_enroll_returns_key_and_matching_record():
     assert record.code_offset.size == 15
     assert verify(key, record)
     # helper re-derives the very same key from the clean image
-    assert rbm_hash(img, record.hash_helper) == key
+    assert hash_apply(img, record.hash_helper) == key
 
 
 def test_enroll_without_seed_is_fresh():
@@ -255,8 +255,6 @@ _, RECORD15 = enroll(fresh_image(np.random.default_rng(35)), PARAMS15)
 FROZEN_CONTAINERS = {
     "BitKey": (np.array([1, 0, 1, 1], np.uint8), BitKey, "bits"),
     "RbmHelper": (np.ones(16, np.int8), lambda a: RbmHelper(a, [0, 3], (4, 4)), "signs"),
-    "SvdHelper": (np.zeros((2, 2), np.uint32),
-                  lambda a: SvdHelper(2, 1, a, [[0, 0]], [0], (4, 4)), "stage1_origins"),
     "PixelPattern": (np.eye(4, dtype=np.uint8), PixelPattern, "mask"),
     "SpeckleImage": (np.arange(16, dtype=np.uint8).reshape(4, 4), SpeckleImage, "pixels"),
     "EnrollmentRecord": (np.zeros(15, np.uint8),
@@ -289,3 +287,10 @@ def test_record_from_a_float64_token_table_still_authenticates():
         assert result is not None
         key, corrected = result
         assert verify(key, record) and corrected <= record.bch_params.t
+
+
+def test_block_svd_record_fails_to_load():
+    # enrolled with the removed block-SVD hash (token seed 5, 8x8 grid, 64x64 camera,
+    # challenge random_pattern(grid, 4), noiseless capture, BCH(255, t=31))
+    with pytest.raises(errors.FormatError, match="svd"):
+        load_record(pathlib.Path(__file__).parent / "data" / "svd_8x8_64x64_seed5.pufr")

@@ -277,6 +277,27 @@ def test_temperature_drift_adds_phase_noise():
     assert tok.NoiseParams(phase_drift_sigma=0.1, delta_T=-2.5).phase_sigma_total == 0.1 + 0.2 * 2.5
 
 
+# field: values that must raise, values that must be kept
+NOISE_FIELD_VALUES = {
+    "intensity_sigma": ([-0.1, math.nan, math.inf], [0.0, 0.5]),
+    "phase_drift_sigma": ([-0.5, math.nan, math.inf], [0.0, 3.0]),
+    "vibration_amp": ([-1.0, math.nan, math.inf], [0.0, 2.5]),
+    "delta_T": ([math.nan, math.inf, -math.inf], [-3.0, 0.0, 5.0]),
+    "vibration_prob": ([-0.01, 1.01, math.nan], [0.0, 0.3, 1.0]),
+}
+
+
+@pytest.mark.parametrize("field", NOISE_FIELD_VALUES)
+def test_noise_params_reject_out_of_range_values(field):
+    # unchecked, a negative or NaN magnitude would capture as if it were zero
+    bad, good = NOISE_FIELD_VALUES[field]
+    for value in bad:
+        with pytest.raises(ValueError, match=field):
+            tok.NoiseParams(**{field: value})
+    for value in good:
+        assert getattr(tok.NoiseParams(**{field: value}), field) == value
+
+
 # phase drift statistics: the capture against an independent Monte Carlo of
 # the drift model itself, one phase per lit row and camera pixel
 
