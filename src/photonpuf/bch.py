@@ -32,6 +32,8 @@ __all__ = [
 ]
 
 _MAGIC = b"PUFB"
+# the code the service and the CLI enroll with by default: BCH(255, t=31), k = 55
+DEFAULT_M, DEFAULT_T = 8, 31
 
 
 # ----------------------------------------------------------------------

@@ -401,8 +401,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_enroll.add_argument("--challenge")
     p_enroll.add_argument("--image", help="enroll a pre-captured PGM instead of capturing")
     p_enroll.add_argument("--record", required=True)
-    p_enroll.add_argument("--bch-m", type=int, default=8)
-    p_enroll.add_argument("--bch-t", type=int, default=31)
+    p_enroll.add_argument("--bch-m", type=int, default=bch.DEFAULT_M)
+    p_enroll.add_argument("--bch-t", type=int, default=bch.DEFAULT_T)
     _noise_flags(p_enroll)
     p_enroll.set_defaults(func=_cmd_enroll)
 
@@ -434,8 +434,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_curve.add_argument("--enrollments", type=int, default=100)
     p_curve.add_argument("--auths", type=int, default=5)
     p_curve.add_argument("--seed", type=int, default=1)
-    p_curve.add_argument("--bch-m", type=int, default=8)
-    p_curve.add_argument("--bch-t", type=int, default=31)
+    p_curve.add_argument("--bch-m", type=int, default=bch.DEFAULT_M)
+    p_curve.add_argument("--bch-t", type=int, default=bch.DEFAULT_T)
     p_curve.add_argument("--report", default=None)
     _noise_flags(p_curve)
     p_curve.set_defaults(func=_cmd_eval_success_curve)
@@ -461,8 +461,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument("--token", action="append", required=True,
                          help="token file; repeat to install several")
     p_serve.add_argument("--store", required=True, help="record directory")
-    p_serve.add_argument("--bch-m", type=int, default=8)
-    p_serve.add_argument("--bch-t", type=int, default=31)
+    p_serve.add_argument("--bch-m", type=int, default=bch.DEFAULT_M)
+    p_serve.add_argument("--bch-t", type=int, default=bch.DEFAULT_T)
     p_serve.add_argument("--frame-timeout", type=float, default=DEFAULT_FRAME_TIMEOUT)
     _noise_flags(p_serve, seeded=False)
     p_serve.set_defaults(func=_cmd_serve)

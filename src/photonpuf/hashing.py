@@ -3,8 +3,9 @@
 A camera frame becomes a fixed-length bit key plus public helper data that
 lets the same key be re-derived from a noisy recapture. The standardized
 image is modulated by a random +-1 diagonal and transformed with a discrete
-Fourier transform, and a random subset of output bins is thresholded on the
-real part. The randomness extractor uses the same transform.
+Fourier transform, and a random subset of bins 1..N/2-1 is thresholded on
+the real part, which a real signal repeats at bins k and N-k. The
+randomness extractor is the same mapping drawn from a fixed public seed.
 
 ``rbm_helper`` draws a helper from the image geometry, the key length and a
 mapping seed alone, never from pixel values. ``hash_enroll`` draws one and
@@ -13,14 +14,10 @@ operating system's CSPRNG. Helpers store explicit arrays (signs, indices),
 never just the seed that generated them, so rehashing does not depend on
 generator reproducibility across versions.
 
-The paper also keys a two-stage block singular value decomposition. That
-hash was removed because its key does not meet the default BCH(255, t=31)
-code. Over 32 genuine authentications on two default tokens under default
-noise, its keys were 39-46 bits from the enrollment key on average (max
-61-63), and only 1-8 of the 32 were accepted. This mapping was 14-16 bits
-off on average (max 21-26) and all 32 were accepted. The removed hash also
-took 33-36 ms against under 1 ms. Its helper container (algo byte 1) now
-fails to parse with a ``FormatError``.
+The paper's block singular value decomposition hash is not kept: its keys
+miss the default BCH(255, t=31) code (1-8 of 32 genuine authentications on
+two default tokens were accepted, against 32 for this mapping), and its
+helper container (algo byte 1) fails to parse with a ``FormatError``.
 """
 
 from __future__ import annotations
@@ -38,6 +35,7 @@ __all__ = [
     "RbmHelper",
     "standardize",
     "rbm_helper",
+    "rbm_project",
     "hash_enroll",
     "hash_apply",
     "helper_to_bytes",
@@ -157,15 +155,31 @@ class RbmHelper:
 
 
 def rbm_helper(image_dims, key_len: int, rng_seed: int) -> RbmHelper:
-    """Draw a random mapping for a geometry; needs no image, only its shape."""
+    """Draw a random mapping for a geometry; needs no image, only its shape.
+
+    The bins are distinct and lie in 1..N/2-1, so ``key_len`` is at most N/2-1.
+    """
     rows, cols = (int(d) for d in image_dims)
     n = rows * cols
-    if not 1 <= key_len <= n:
-        raise ValueError(f"key_len must be in 1..{n}, got {key_len}")
+    half = n // 2 - 1  # distinct informative bins, DC and Nyquist excluded
+    if not 1 <= key_len <= half:
+        raise ValueError(f"key_len must be in 1..{half} for a {rows}x{cols} image, got {key_len}")
     rng = np.random.default_rng(np.random.SeedSequence([int(rng_seed), _TAG_RBM]))
     signs = (rng.integers(0, 2, size=n, dtype=np.int8) * 2 - 1).astype(np.int8)
-    indices = rng.choice(n, size=key_len, replace=False).astype(np.uint32)
+    indices = (1 + rng.choice(half, size=key_len, replace=False)).astype(np.uint32)
     return RbmHelper(signs, indices, (rows, cols))
+
+
+def rbm_project(image, helper: RbmHelper) -> np.ndarray:
+    """Real parts of the helper's DFT bins of the sign-modulated, standardized image.
+
+    A stored bin k > N/2 reads bin N-k of one ``rfft``, whose real part is equal.
+    """
+    arr = _as_pixels(image)
+    if arr.shape != helper.image_dims:
+        raise ValueError(f"image shape {arr.shape} does not match helper {helper.image_dims}")
+    z = np.fft.rfft(helper.signs * standardize(arr).ravel())
+    return z.real[np.minimum(helper.indices, helper.signs.size - helper.indices)]
 
 
 def hash_enroll(image, key_len: int, rng_seed: int) -> tuple[BitKey, RbmHelper]:
@@ -178,15 +192,10 @@ def hash_enroll(image, key_len: int, rng_seed: int) -> tuple[BitKey, RbmHelper]:
 def hash_apply(image, helper: RbmHelper) -> BitKey:
     """Re-derive the key for a (possibly noisy) image with a fixed helper.
 
-    Bits are the real parts of the selected DFT bins, thresholded at their
-    own mean; values on the threshold map to 1.
+    Bits are the ``rbm_project`` values thresholded at their own mean;
+    values on the threshold map to 1.
     """
-    arr = _as_pixels(image)
-    if arr.shape != helper.image_dims:
-        raise ValueError(f"image shape {arr.shape} does not match helper {helper.image_dims}")
-    y = standardize(arr).ravel()
-    z = np.fft.fft(helper.signs * y)
-    vals = z.real[helper.indices]
+    vals = rbm_project(image, helper)
     return BitKey((vals >= vals.mean()).astype(np.uint8))
 
 

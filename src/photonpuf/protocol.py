@@ -26,7 +26,7 @@ import numpy as np
 from . import bch
 from ._binio import Reader, frozen_array, le, pack_bits, packed_size, unpack_bits
 from .hashing import BitKey, RbmHelper, hash_apply, hash_enroll, helper_from_bytes, helper_to_bytes
-from .token import Challenge, challenge_from_bytes, challenge_to_bytes
+from .token import Challenge, PixelPattern, challenge_from_bytes, challenge_to_bytes
 
 __all__ = [
     "EnrollmentRecord",
@@ -64,6 +64,9 @@ class EnrollmentRecord:
             raise ValueError("record_id and token_id must be 16 bytes")
         if len(self.key_digest) != 32:
             raise ValueError("key digest must be 32 bytes")
+        if isinstance(self.challenge, PixelPattern) and self.challenge.on_count == 0:
+            # a dark challenge captures only noise, so no recapture recovers the key
+            raise ValueError("challenge lights no pixel")
         offset = frozen_array(self.code_offset, np.uint8).ravel()
         if offset.size != self.bch_params.n:
             raise ValueError("code offset length must equal the code length")

@@ -1,13 +1,13 @@
 """Random bit extraction from speckle and a frequentist test battery.
 
-``extract_bits`` applies one fixed random binary mapping to a sequence of
-speckle images and concatenates the per-image outputs in order, giving
-device-derived bitstreams. The battery is the classic subset of eight
-statistical tests used for desk-scale PRNG qualification: frequency, block
-frequency, cumulative sums, runs, longest run of ones, spectral, approximate
-entropy, and serial. Each returns the standard p-value(s); a suite report
-aggregates many streams into pass proportions plus a p-value uniformity
-check per test.
+``extract_bits`` applies the keyed hash's random binary mapping, drawn from
+one fixed public seed, to a sequence of speckle images and concatenates the
+per-image outputs in order, giving device-derived bitstreams. The battery
+is the classic subset of eight statistical tests used for desk-scale PRNG
+qualification: frequency, block frequency, cumulative sums, runs, longest
+run of ones, spectral, approximate entropy, and serial. Each returns the
+standard p-value(s); a suite report aggregates many streams into pass
+proportions plus a p-value uniformity check per test.
 
 The randomness comes from the captures: ``service.random_bits``, behind both
 ``OP_RANDOM`` and ``photonpuf rng extract``, lights a fresh random pattern
@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc, gammaincc, ndtr
 
-from .hashing import BitKey, _as_bits, _as_pixels, standardize
+from .hashing import BitKey, _as_bits, _as_pixels, rbm_helper, rbm_project
 
 __all__ = [
     "extract_bits",
@@ -38,42 +38,25 @@ ALPHA = 0.01
 UNIFORMITY_FLOOR = 1e-4
 
 
-_TAG_EXTRACT = 0xEB17
+# the extraction mapping's seed is public: its output is only as random as the captures
+_EXTRACT_SEED = 0xEB17
 
 
 def extract_bits(images, bits_per_image: int) -> BitKey:
     """Sign-quantize random Fourier projections of each image and concatenate.
 
-    One mapping (random pixel sign flips plus a random draw of projection
-    bins) is derived from one fixed seed and shared by every image, so the
-    output is reproducible and order-stable. Unlike the keyed hash, bits here
-    are the raw signs of the projections and the bins are drawn from the
-    non-redundant half of the spectrum: the real part of an N-point transform
-    of a real signal repeats between bins k and N-k, and a mean threshold
-    couples all bits of an image, both of which bias the downstream
-    statistics this stream feeds.
+    The mapping is the keyed hash's, ``rbm_helper(shape, bits_per_image,
+    _EXTRACT_SEED)``, shared by every image, so the output is reproducible
+    and order-stable; its bins lie in 1..N/2-1 and ``bits_per_image`` is at
+    most N/2-1. Unlike the keyed hash, each bit is the raw sign of its
+    ``rbm_project`` value: a mean threshold couples all bits of an image,
+    which biases the downstream statistics this stream feeds.
     """
     images = list(images)
     if not images:
         raise ValueError("need at least one image")
-    arr0 = _as_pixels(images[0])
-    n = arr0.size
-    half = n // 2 - 1  # distinct informative bins, DC and Nyquist excluded
-    if not 1 <= bits_per_image <= half:
-        raise ValueError(
-            f"bits_per_image must be in 1..{half}, the distinct bins of a {arr0.shape} image"
-        )
-    rng = np.random.default_rng(np.random.SeedSequence([0, _TAG_EXTRACT]))
-    signs = rng.integers(0, 2, size=n, dtype=np.int8) * 2 - 1
-    indices = 1 + rng.choice(half, size=bits_per_image, replace=False)
-    chunks = []
-    for img in images:
-        arr = _as_pixels(img)
-        if arr.shape != arr0.shape:
-            raise ValueError("all images must share one geometry")
-        z = np.fft.fft(signs * standardize(arr).ravel())
-        chunks.append((z.real[indices] > 0.0).astype(np.uint8))
-    return BitKey(np.concatenate(chunks))
+    helper = rbm_helper(_as_pixels(images[0]).shape, bits_per_image, _EXTRACT_SEED)
+    return BitKey(np.concatenate([rbm_project(img, helper) > 0.0 for img in images]))
 
 
 # ----------------------------------------------------------------------

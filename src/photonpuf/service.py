@@ -164,7 +164,8 @@ class PufService:
         noise: NoiseParams | None = None,
     ):
         self.store = store
-        self.bch_params = bch_params if bch_params is not None else bch.bch_new(8, 31)
+        self.bch_params = (bch_params if bch_params is not None
+                           else bch.bch_new(bch.DEFAULT_M, bch.DEFAULT_T))
         self.noise = noise if noise is not None else NoiseParams()
         self._tokens: dict[bytes, TokenModel] = {}
         self._guard = threading.Lock()
@@ -238,8 +239,6 @@ class PufService:
         r = Reader(payload)
         r.unpack("B")
         n_bits = r.unpack("I")
-        if not 1 <= n_bits <= MAX_RANDOM_BITS:
-            raise ValueError(f"bit count must be in 1..{MAX_RANDOM_BITS}")
         with self._guard:
             if not self._tokens:
                 raise KeyError("no token installed")
@@ -255,6 +254,8 @@ def random_bits(token: TokenModel, n_bits: int, noise: NoiseParams) -> np.ndarra
     the noise seed both come from the operating system's CSPRNG, so no two
     calls repeat. Up to 2000 bits are taken per capture.
     """
+    if not 1 <= n_bits <= MAX_RANDOM_BITS:
+        raise ValueError(f"bit count must be in 1..{MAX_RANDOM_BITS}")
     # respond, random_pattern, extract_bits: module globals that perfbench/tracing.py wraps
     per_image = max(1, min(2000, token.out_dims[0] * token.out_dims[1] // 2 - 1))
     images = [

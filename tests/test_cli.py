@@ -16,7 +16,7 @@ import pytest
 from photonpuf.cli import _build_parser, _noise_from_args, main
 from photonpuf.hashing import helper_to_bytes
 from photonpuf.protocol import load_record
-from photonpuf.service import ServiceClient
+from photonpuf.service import MAX_RANDOM_BITS, ServiceClient
 from photonpuf.token import (
     NoiseParams,
     TokenModel,
@@ -180,6 +180,19 @@ def test_enroll_auth_accepts_same_token(workdir, tmp_path, capsys):
     assert code == 0
     assert kv["accepted"] == "true"
     assert int(kv["corrected"]) <= 31
+
+
+def test_enroll_of_a_dark_challenge_fails_and_writes_no_record(workdir, tmp_path, capsys):
+    dark = tmp_path / "dark.chal"
+    code, kv, _ = run_cli(capsys, "challenge", "gen", "--grid", "8x8", "--on-fraction", "0",
+                          "--output", str(dark))
+    assert code == 0 and kv["on_count"] == "0"
+    record = tmp_path / "r.pufr"
+    code, _, err = run_cli(capsys, "enroll", "--token", str(workdir / "tok.puft"),
+                           "--challenge", str(dark), "--record", str(record))
+    assert code == 1
+    assert err.strip() == "error=challenge lights no pixel"
+    assert not record.exists()
 
 
 def test_enroll_without_seed_draws_fresh_records(workdir, tmp_path, capsys):
@@ -429,6 +442,16 @@ def test_rng_extract_draws_fresh_bits_each_run(workdir, tmp_path, capsys):
                               "--bits", "2000", "--output", str(path))
         assert code == 0 and kv["bits"] == "2000"
     assert paths[0].read_bytes() != paths[1].read_bytes()
+
+
+@pytest.mark.parametrize("bits", ["0", "-5", str(MAX_RANDOM_BITS + 1)])
+def test_rng_extract_bit_count_out_of_range(workdir, tmp_path, capsys, bits):
+    out = tmp_path / "bits.puf"
+    code, _, err = run_cli(capsys, "rng", "extract", "--token", str(workdir / "tok.puft"),
+                           "--bits", bits, "--output", str(out))
+    assert code == 1
+    assert err.strip() == f"error=bit count must be in 1..{MAX_RANDOM_BITS}"
+    assert not out.exists()
 
 
 def test_rng_test_missing_file(capsys, tmp_path):

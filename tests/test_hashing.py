@@ -6,7 +6,7 @@ double sum.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from photonpuf import errors
@@ -96,8 +96,9 @@ def test_rbm_helper_deterministic_per_seed():
 
 
 def test_rbm_helper_indices_distinct():
-    h = rbm_helper((16, 16), 256, rng_seed=3)
-    assert len(set(h.indices.tolist())) == 256
+    # the longest key a 16x16 image allows takes every bin of 1..N/2-1 once
+    h = rbm_helper((16, 16), 127, rng_seed=3)
+    assert sorted(h.indices.tolist()) == list(range(1, 128))
 
 
 def test_rbm_enroll_uses_same_mapping_as_helper():
@@ -107,18 +108,24 @@ def test_rbm_enroll_uses_same_mapping_as_helper():
     assert key == hash_apply(img, helper)
 
 
-def test_rbm_hash_matches_explicit_dft_sum():
+def explicit_dft_key(img, helper):
     # independent oracle: X[k] = sum_j s_j y_j exp(-2*pi*i*j*k/N), real part
-    img = random_image(4, 4)
-    key, helper = hash_enroll(img, 16, 21)
     y = standardize(img).ravel() * helper.signs
     n = y.size
     j = np.arange(n)
     vals = np.array(
         [np.sum(y * np.cos(2 * np.pi * j * k / n)) for k in helper.indices]
     )
-    expected = (vals >= vals.mean()).astype(np.uint8)
-    assert np.array_equal(key.bits, expected)
+    return (vals >= vals.mean()).astype(np.uint8)
+
+
+def test_rbm_hash_matches_explicit_dft_sum():
+    img = random_image(4, 4)
+    key, helper = hash_enroll(img, 7, 21)
+    assert np.array_equal(key.bits, explicit_dft_key(img, helper))
+    # a stored helper may name any of the N bins, mirror pairs and 0 and N/2 included
+    every_bin = RbmHelper(helper.signs, np.random.default_rng(21).permutation(16), (4, 4))
+    assert np.array_equal(hash_apply(img, every_bin).bits, explicit_dft_key(img, every_bin))
 
 
 def test_rbm_hash_affine_invariant():
@@ -196,12 +203,19 @@ def test_helper_container_errors():
 def test_rbm_helper_bytes_and_key_are_pinned():
     # stored records hold these bytes: magic, version 1, algo 0, key_len 6, dims 4x4,
     # 16 packed sign bits, then the six u32 indices in draw order
+    img = np.arange(16.0).reshape(4, 4) ** 1.5
+    # rbm_helper((4, 4), 6, 2) as drawn over all 16 bins: a stored record's helper
+    # (bins 12, 5, 11, 6, 7, 14) whose key must not change
+    stored = helper_from_bytes(bytes.fromhex(
+        "5055464801000006000000040000000400000081090c00000005000000"
+        "0b00000006000000070000000e000000"))
+    np.testing.assert_array_equal(hash_apply(img, stored).bits, [1, 0, 0, 1, 1, 0])
+    # the same call drawing from bins 1..7
     helper = rbm_helper((4, 4), 6, 2)
     assert helper_to_bytes(helper) == bytes.fromhex(
-        "5055464801000006000000040000000400000081090c00000005000000"
-        "0b00000006000000070000000e000000")
-    img = np.arange(16.0).reshape(4, 4) ** 1.5
-    np.testing.assert_array_equal(hash_apply(img, helper).bits, [1, 0, 0, 1, 1, 0])
+        "505546480100000600000004000000040000008109040000000700000003000000"
+        "020000000500000006000000")
+    np.testing.assert_array_equal(hash_apply(img, helper).bits, [0, 1, 1, 0, 0, 1])
 
 
 def test_roundtrip_preserves_hash():
@@ -213,8 +227,29 @@ def test_roundtrip_preserves_hash():
 # ---------------------------------------------------------------- properties
 
 @settings(deadline=None, max_examples=25)
-@given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(min_value=1, max_value=64))
+@given(st.integers(min_value=0, max_value=2**31 - 1), st.integers(min_value=1, max_value=31))
 def test_rbm_key_len_always_honored(seed, key_len):
     helper = rbm_helper((8, 8), key_len, seed)
     img = np.random.default_rng(seed).exponential(size=(8, 8))
     assert len(hash_apply(img, helper)) == key_len
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.integers(min_value=0, max_value=2**31 - 1),
+       st.integers(min_value=1, max_value=24), st.integers(min_value=1, max_value=24),
+       st.floats(min_value=0.0, max_value=1.0))
+@example(seed=0, rows=4, cols=4, fill=1.0)     # even N, every bin of 1..N/2-1
+@example(seed=0, rows=3, cols=5, fill=1.0)     # odd N
+def test_rbm_helper_draws_no_mirror_dc_or_nyquist_bin(seed, rows, cols, fill):
+    n = rows * cols
+    half = n // 2 - 1
+    if half < 1:
+        with pytest.raises(ValueError):
+            rbm_helper((rows, cols), 1, seed)
+        return
+    helper = rbm_helper((rows, cols), max(1, round(fill * half)), seed)
+    drawn = set(helper.indices.tolist())
+    assert 0 not in drawn and (n % 2 or n // 2 not in drawn)
+    assert not any(n - k in drawn for k in drawn)
+    with pytest.raises(ValueError):          # a longer key must repeat bits
+        rbm_helper((rows, cols), half + 1, seed)

@@ -31,6 +31,7 @@ from photonpuf.token import (
     NoiseParams,
     PixelPattern,
     SpeckleImage,
+    challenge_to_bytes,
     new_token,
     random_pattern,
     respond,
@@ -200,6 +201,20 @@ def test_record_roundtrip_with_challenge(tmp_path):
     assert load_record(path).record_id == record.record_id
 
 
+def test_dark_challenge_is_rejected_at_enroll_and_parse():
+    # a mask that lights no pixel captures only noise: no recapture could recover the key
+    img = fresh_image(np.random.default_rng(36))
+    dark = PixelPattern(np.zeros((16, 16), np.uint8))
+    with pytest.raises(ValueError, match="lights no pixel"):
+        enroll(img, PARAMS15, challenge=dark)
+    lit = random_pattern((16, 16), 5)
+    blob = record_to_bytes(enroll(img, PARAMS15, challenge=lit)[1])
+    patched = blob.replace(challenge_to_bytes(lit), challenge_to_bytes(dark))
+    assert len(patched) == len(blob) and patched != blob
+    with pytest.raises(ValueError, match="lights no pixel"):
+        record_from_bytes(patched)
+
+
 def test_record_roundtrip_without_challenge():
     img = fresh_image(np.random.default_rng(32))
     _, record = enroll(img, PARAMS15)
@@ -224,8 +239,9 @@ def test_record_container_errors():
     with pytest.raises(ValueError):
         record_from_bytes(blob[:at - 4] + struct.pack("<I", len(short_blob)) + short_blob
                           + blob[at + len(helper_blob):])
-    # a stored BCH polynomial that is irreducible but not primitive
-    _, record = enroll(img, bch.bch_new(8, 4))
+    # a stored BCH polynomial that is irreducible but not primitive; a 255-bit key
+    # needs an image of at least 512 pixels
+    _, record = enroll(fresh_image(np.random.default_rng(33), shape=(32, 32)), bch.bch_new(8, 4))
     blob = bytearray(record_to_bytes(record))
     at = blob.index(b"PUFB") + 9                 # after magic, version, m and t
     blob[at:at + 4] = struct.pack("<I", 0x11B)

@@ -369,6 +369,14 @@ def test_enroll_requires_pattern_challenge(tmp_path):
     assert parse_error(reply)[0] == ERR_BAD_FRAME
 
 
+def test_enroll_rejects_a_dark_challenge(tmp_path):
+    service, tid = make_service(tmp_path)
+    blob = challenge_to_bytes(random_pattern((8, 8), 3, on_fraction=0.0))
+    reply = service.handle_payload(enroll_msg(tid, blob))
+    assert parse_error(reply) == (ERR_BAD_FRAME, "challenge lights no pixel")
+    assert stored_files(tmp_path / "records") == []
+
+
 def test_internal_error_is_logged_without_secrets(tmp_path, monkeypatch, caplog):
     # fail an enroll after the key and record exist: the traceback must reach
     # the log, and neither the request nor the key material may
