@@ -34,6 +34,7 @@ __all__ = [
     "BitKey",
     "RbmHelper",
     "standardize",
+    "rbm_max_bins",
     "rbm_helper",
     "rbm_project",
     "hash_enroll",
@@ -154,14 +155,20 @@ class RbmHelper:
         return int(self.indices.size)
 
 
+def rbm_max_bins(image_dims) -> int:
+    """Most bins a mapping can draw for a geometry: N/2-1, DC and Nyquist excluded."""
+    return int(image_dims[0]) * int(image_dims[1]) // 2 - 1
+
+
 def rbm_helper(image_dims, key_len: int, rng_seed: int) -> RbmHelper:
     """Draw a random mapping for a geometry; needs no image, only its shape.
 
-    The bins are distinct and lie in 1..N/2-1, so ``key_len`` is at most N/2-1.
+    The bins are distinct and lie in 1..N/2-1, so ``key_len`` is at most
+    ``rbm_max_bins(image_dims)``.
     """
     rows, cols = (int(d) for d in image_dims)
     n = rows * cols
-    half = n // 2 - 1  # distinct informative bins, DC and Nyquist excluded
+    half = rbm_max_bins(image_dims)
     if not 1 <= key_len <= half:
         raise ValueError(f"key_len must be in 1..{half} for a {rows}x{cols} image, got {key_len}")
     rng = np.random.default_rng(np.random.SeedSequence([int(rng_seed), _TAG_RBM]))

@@ -46,6 +46,12 @@ _VERSION = 1
 DIGEST_SHA256 = 1
 
 
+def _require_light(challenge: Challenge | None):
+    # a dark challenge captures only noise, so no recapture recovers the key
+    if isinstance(challenge, PixelPattern) and challenge.on_count == 0:
+        raise ValueError("challenge lights no pixel")
+
+
 @dataclass(frozen=True, eq=False)
 class EnrollmentRecord:
     """Public helper data for one enrolled (token, challenge) pair."""
@@ -64,9 +70,7 @@ class EnrollmentRecord:
             raise ValueError("record_id and token_id must be 16 bytes")
         if len(self.key_digest) != 32:
             raise ValueError("key digest must be 32 bytes")
-        if isinstance(self.challenge, PixelPattern) and self.challenge.on_count == 0:
-            # a dark challenge captures only noise, so no recapture recovers the key
-            raise ValueError("challenge lights no pixel")
+        _require_light(self.challenge)
         offset = frozen_array(self.code_offset, np.uint8).ravel()
         if offset.size != self.bch_params.n:
             raise ValueError("code offset length must equal the code length")
@@ -90,6 +94,7 @@ def enroll(image, bch_params: bch.BchParams, token_id: bytes = b"\x00" * 16,
     operating system's CSPRNG, so public helper data never reveals how to
     rebuild them.
     """
+    _require_light(challenge)  # before hashing, which fails otherwise on a noiseless capture
     # hash_enroll: a module global that perfbench/tracing.py wraps
     enroll_key, helper = hash_enroll(image, bch_params.n, secrets.randbits(64))
     secret = unpack_bits(secrets.token_bytes(packed_size(bch_params.k)), bch_params.k)

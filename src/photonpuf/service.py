@@ -34,7 +34,7 @@ import numpy as np
 from . import bch
 from ._binio import Reader, le
 from .errors import FormatError
-from .hashing import BitKey
+from .hashing import BitKey, rbm_max_bins
 from .protocol import (
     EnrollmentRecord,
     authenticate,
@@ -252,12 +252,13 @@ def random_bits(token: TokenModel, n_bits: int, noise: NoiseParams) -> np.ndarra
 
     Each capture lights a random pattern under ``noise``; the pattern seed and
     the noise seed both come from the operating system's CSPRNG, so no two
-    calls repeat. Up to 2000 bits are taken per capture.
+    calls repeat. Up to 2000 bits are taken per capture, fewer on a camera
+    whose ``rbm_max_bins`` is smaller.
     """
     if not 1 <= n_bits <= MAX_RANDOM_BITS:
         raise ValueError(f"bit count must be in 1..{MAX_RANDOM_BITS}")
     # respond, random_pattern, extract_bits: module globals that perfbench/tracing.py wraps
-    per_image = max(1, min(2000, token.out_dims[0] * token.out_dims[1] // 2 - 1))
+    per_image = max(1, min(2000, rbm_max_bins(token.out_dims)))
     images = [
         respond(token, random_pattern(token.grid_dims, secrets.randbits(64)),
                 noise=noise.with_seed(secrets.randbits(64)))

@@ -8,8 +8,8 @@ minimal model already produces fully developed speckle (exponential intensity
 statistics) and exact field superposition between challenges. The tensor is
 stored as one read-only float32 row table per token (48 MiB at the default
 geometry), each row the interleaved (re, im) field of one challenge pixel
-followed by its powers ``|a|^2``; captures add up lit rows in single
-precision and carry on in double precision.
+followed by its powers ``|a|^2``; a capture stays in single precision from
+the sum of its lit rows to quantization.
 
 Wavelength is a second challenge axis: the per-pixel field evolves with
 wavelength as a stationary Gauss-Markov (Ornstein-Uhlenbeck) process,
@@ -41,6 +41,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy.fft
 
 from ._binio import Reader, frozen_array, le, pack_bits, packed_size, unpack_bits
 from .errors import BadMagicError, FormatError, TruncatedError
@@ -231,7 +232,9 @@ class TokenModel:
     interleaved (re, im) field at each camera pixel and the last ``n_out``
     its power ``|a|^2``. ``field_tensor`` is a complex64 view of the field
     columns, not a copy. The field is a float64 circular Gaussian draw,
-    scaled by ``1/sqrt(2)`` and rounded once to float32. The table is fully
+    scaled by ``1/sqrt(2)`` and rounded once to float32; ``grain_kernel``, the
+    grain filter's transfer function, is float32 too, so captures run in
+    single precision from the table on. The table is fully
     determined by (token_seed, kind, grid_dims, out_dims); two constructions
     from the same parameters are identical. Instances are immutable (every
     query is a pure function of the descriptor) and safe to share across
@@ -286,11 +289,11 @@ class TokenModel:
         # gaussian transfer function of the speckle grain, unit mean power
         self.grain_kernel = None
         if self.speckle_grain > 0:
-            fy = np.fft.fftfreq(out_dims[0])
-            fx = np.fft.fftfreq(out_dims[1])
+            fy = scipy.fft.fftfreq(out_dims[0])
+            fx = scipy.fft.fftfreq(out_dims[1])
             h = np.exp(-2.0 * np.pi ** 2 * self.speckle_grain ** 2
                        * (fy[:, None] ** 2 + fx[None, :] ** 2))
-            h /= np.sqrt(np.mean(h ** 2))
+            h = (h / np.sqrt(np.mean(h ** 2))).astype(np.float32)
             h.flags.writeable = False
             self.grain_kernel = h
 
@@ -351,15 +354,15 @@ def _lit_sum(token: TokenModel, lit: np.ndarray, power: bool) -> np.ndarray:
     """Interleaved field sum of the lit rows, then ``sum_r |a_r|^2`` if ``power``.
 
     Each add is one single-threaded ufunc call that releases the GIL and
-    reads one lit row; the sum runs in the table's precision and equals
-    ``field_tensor[lit].sum(axis=0)``. It is returned as float64, so the rest
-    of a capture runs in double precision whatever numpy's promotion rules.
+    reads one lit row; the float32 sum equals ``field_tensor[lit].sum(axis=0)``
+    and is returned as it is, for the rest of the capture to stay in single
+    precision.
     """
     table = token.rows if power else token.rows[:, : 2 * token.field_tensor.shape[1]]
     acc = np.zeros(table.shape[1], dtype=table.dtype)
     for r in lit:
         acc += table[r]
-    return acc.astype(np.float64)
+    return acc
 
 
 def pattern_field(token: TokenModel, challenge: PixelPattern) -> np.ndarray:
@@ -369,7 +372,8 @@ def pattern_field(token: TokenModel, challenge: PixelPattern) -> np.ndarray:
     so disjoint masks add: field(a | b) == field(a) + field(b).
     """
     lit = _lit_rows(token, challenge)
-    return _lit_sum(token, lit, power=False).view(np.complex128).reshape(token.out_dims)
+    field = _lit_sum(token, lit, power=False).view(np.complex64).astype(np.complex128)
+    return field.reshape(token.out_dims)
 
 
 def _bridge_levels(decorrelation_pm: float) -> int:
@@ -436,22 +440,32 @@ def _translate(img: np.ndarray, dr: float, dc: float) -> np.ndarray:
 
     Implemented as a Fourier phase ramp, so sub-pixel offsets are exact and
     the intensity statistics stay stationary under the periodic convention
-    already used for grain smoothing.
+    already used for grain smoothing. The result keeps the frame's precision.
     """
     nr, nc = img.shape
-    ramp_r = np.exp(-2j * np.pi * dr * np.fft.fftfreq(nr))
-    ramp_c = np.exp(-2j * np.pi * dc * np.fft.fftfreq(nc))
-    return np.fft.ifft2(np.fft.fft2(img) * np.outer(ramp_r, ramp_c)).real
+    ramp_r = np.exp(-2j * np.pi * dr * scipy.fft.fftfreq(nr))
+    ramp_c = np.exp(-2j * np.pi * dc * scipy.fft.fftfreq(nc))
+    spectrum = scipy.fft.fft2(img)
+    spectrum *= np.outer(ramp_r, ramp_c)  # rounded to the spectrum's precision
+    return scipy.fft.ifft2(spectrum).real
 
 
 def _capture(token: TokenModel, field: np.ndarray, mean_intensity: float,
              noise: NoiseParams, bit_depth: int, rng) -> SpeckleImage:
-    """Shared back end: grain, intensity, additive noise, quantization."""
+    """Shared back end: grain, intensity, additive noise, quantization.
+
+    The field is cast to complex64 once, and every step after it runs in
+    single precision. The grain filter goes through ``scipy.fft``, which
+    transforms complex64 as complex64 on every supported numpy version;
+    ``numpy.fft`` on numpy 1.x promotes it to complex128.
+    """
+    field = field.astype(np.complex64, copy=False)
     if token.grain_kernel is not None:
-        field = np.fft.ifft2(np.fft.fft2(field) * token.grain_kernel)
-    intensity = np.abs(field) ** 2
+        field = scipy.fft.ifft2(scipy.fft.fft2(field) * token.grain_kernel)
     qmax = (1 << bit_depth) - 1
-    img = intensity * (qmax / (_HEADROOM * mean_intensity))
+    img = np.square(field.real)
+    img += np.square(field.imag)
+    img *= np.float32(qmax / (_HEADROOM * mean_intensity))
     if noise.vibration_prob > 0 and noise.vibration_amp > 0:
         if rng.random() < noise.vibration_prob:
             # mechanical resonance: an excited mount rings at a fixed
@@ -461,8 +475,9 @@ def _capture(token: TokenModel, field: np.ndarray, mean_intensity: float,
             theta = rng.uniform(0.0, 2.0 * np.pi)
             img = _translate(img, amp * np.sin(theta), amp * np.cos(theta))
     if noise.intensity_sigma > 0:
-        img = img + rng.normal(0.0, noise.intensity_sigma * qmax, size=img.shape)
-    px = np.clip(np.floor(img + 0.5), 0, qmax)
+        img += np.float32(noise.intensity_sigma * qmax) * rng.standard_normal(
+            img.shape, dtype=np.float32)
+    px = np.clip(np.floor(img + np.float32(0.5)), 0, qmax)
     dtype = np.uint8 if bit_depth <= 8 else np.uint16
     return SpeckleImage(px.astype(dtype), bit_depth=bit_depth)
 
@@ -503,17 +518,19 @@ def respond(token: TokenModel, challenge: Challenge, noise: NoiseParams | None =
             rows = token.field_tensor[lit]
     if rows is not None:
         if sigma_phi > 0:
-            rows = rows * np.exp(1j * rng.normal(0.0, sigma_phi, size=rows.shape))
+            phi = np.float32(sigma_phi) * rng.standard_normal(rows.shape, dtype=np.float32)
+            rows = rows * np.exp(np.complex64(1j) * phi)
         field = rows.sum(axis=0)
     else:
         n_out = token.field_tensor.shape[1]
         sums = _lit_sum(token, lit, power=sigma_phi > 0)
-        field = sums[: 2 * n_out].view(np.complex128)
+        field = sums[: 2 * n_out].view(np.complex64)
         if sigma_phi > 0:
             c = math.exp(-0.5 * sigma_phi * sigma_phi)
             # per complex component: half of (1 - c^2) * sum_r |a_r|^2
-            spread = np.sqrt((0.5 * (1.0 - c * c)) * sums[2 * n_out :])
-            field = c * field + spread * rng.standard_normal(2 * field.size).view(np.complex128)
+            spread = np.sqrt(np.float32(0.5 * (1.0 - c * c)) * sums[2 * n_out :])
+            drift = rng.standard_normal(2 * n_out, dtype=np.float32).view(np.complex64)
+            field = np.float32(c) * field + spread * drift
     field = field.reshape(token.out_dims)
     return _capture(token, field, max(n_rows, 1), noise, bit_depth, rng)
 

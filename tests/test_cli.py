@@ -188,11 +188,13 @@ def test_enroll_of_a_dark_challenge_fails_and_writes_no_record(workdir, tmp_path
                           "--output", str(dark))
     assert code == 0 and kv["on_count"] == "0"
     record = tmp_path / "r.pufr"
-    code, _, err = run_cli(capsys, "enroll", "--token", str(workdir / "tok.puft"),
-                           "--challenge", str(dark), "--record", str(record))
-    assert code == 1
-    assert err.strip() == "error=challenge lights no pixel"
-    assert not record.exists()
+    # the same refusal with and without capture noise
+    for noise_flags in ((), ("--no-noise",)):
+        code, _, err = run_cli(capsys, "enroll", "--token", str(workdir / "tok.puft"),
+                               "--challenge", str(dark), "--record", str(record), *noise_flags)
+        assert code == 1
+        assert err.strip() == "error=challenge lights no pixel"
+        assert not record.exists()
 
 
 def test_enroll_without_seed_draws_fresh_records(workdir, tmp_path, capsys):

@@ -18,6 +18,7 @@ from photonpuf.hashing import (
     helper_from_bytes,
     helper_to_bytes,
     rbm_helper,
+    rbm_max_bins,
     standardize,
 )
 
@@ -243,6 +244,7 @@ def test_rbm_key_len_always_honored(seed, key_len):
 def test_rbm_helper_draws_no_mirror_dc_or_nyquist_bin(seed, rows, cols, fill):
     n = rows * cols
     half = n // 2 - 1
+    assert rbm_max_bins((rows, cols)) == half
     if half < 1:
         with pytest.raises(ValueError):
             rbm_helper((rows, cols), 1, seed)

@@ -436,7 +436,8 @@ def test_random_bits_exact_count(tmp_path):
 
 
 def test_random_reply_layout(tmp_path, counted_entropy):
-    # seeds 1..4: pattern then capture noise for each of the two captures
+    # seeds 1..4: pattern then capture noise for each of the two captures; a
+    # 32x32 camera has 511 bins, under the 2000-bit cap, so 700 bits take two
     service, _ = make_service(tmp_path)
     reply = service.handle_payload(bytes([OP_RANDOM]) + le("I", 700))
     token = new_token(1, grid_dims=(8, 8), out_dims=(32, 32))

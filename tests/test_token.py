@@ -15,6 +15,7 @@ import threading
 
 import numpy as np
 import pytest
+import scipy.fft
 
 from photonpuf import errors, metrics
 from photonpuf import token as tok
@@ -123,23 +124,61 @@ def test_single_precision_field_sum_is_close_to_double():
         assert np.max(np.abs(field.ravel() - exact)) <= 1e-5 * np.max(np.abs(exact))
 
 
-def test_capture_after_the_sum_runs_in_double_precision():
-    # rows on a 1/16 grid add up exactly in float32, so a complex64 table and
-    # its float64 copy give the same sums; identical 16-bit frames then pin
-    # grain filter, drift and quantization to float64 on any numpy version
-    t = make_token(seed=8, grain=1.5)
+def grain_kernel(t):
+    fy = np.fft.fftfreq(t.out_dims[0])
+    fx = np.fft.fftfreq(t.out_dims[1])
+    h = np.exp(-2.0 * np.pi**2 * t.speckle_grain**2 * (fy[:, None] ** 2 + fx[None, :] ** 2))
+    return h / np.sqrt((h**2).mean())
+
+
+def manual_tail(t, field, n_rows, bit_depth, dtype=np.complex64, camera_noise=None):
+    """Low-pass with the grain kernel, square, scale to quarter range, add
+    camera noise, round: every step in the precision of ``dtype``."""
+    real = np.float32 if dtype == np.complex64 else np.float64
+    field = field.astype(dtype).reshape(t.out_dims)
+    if t.speckle_grain > 0:
+        field = scipy.fft.ifft2(scipy.fft.fft2(field) * grain_kernel(t).astype(real))
+    qmax = 2**bit_depth - 1
+    img = (field.real**2 + field.imag**2) * real(qmax / (4.0 * n_rows))
+    if camera_noise is not None:
+        img = img + camera_noise
+    return np.clip(np.floor(img + real(0.5)), 0, qmax)
+
+
+def test_capture_after_the_sum_stays_single_precision():
+    # rows on a 1/16 grid add up exactly in float32, in any order, so a
+    # reconstruction that holds every array in complex64 or float32 pins
+    # drift, grain filter, camera noise and quantization to single precision
+    # on any numpy version: one promotion to double moves 16-bit pixels
+    t = copy.copy(make_token(seed=8, grain=1.5))
     n_out = t.field_tensor.shape[1]
     parts = np.round(np.clip(t.rows[:, : 2 * n_out], -4, 4) * 16) / 16
-    single, double = copy.copy(t), copy.copy(t)
-    single.rows = np.concatenate([parts, parts[:, 0::2] ** 2 + parts[:, 1::2] ** 2], axis=1)
-    single.field_tensor = single.rows[:, : 2 * n_out].view(np.complex64)
-    double.rows = single.rows.astype(np.float64)
-    double.field_tensor = double.rows[:, : 2 * n_out].view(np.complex128)
-    for on in ([5], [3, 40, 17], range(0, 64, 2)):
+    t.rows = np.concatenate([parts, parts[:, 0::2] ** 2 + parts[:, 1::2] ** 2], axis=1)
+    t.field_tensor = t.rows[:, : 2 * n_out].view(np.complex64)
+    qmax = 2**16 - 1
+    for on in ([5], [3, 17, 40], list(range(0, 64, 2))):  # ascending, as lit rows are
         chal = mask_from_indices(t.grid_dims, on)
         for noise in (tok.NoiseParams.none(), tok.NoiseParams().with_seed(4)):
-            assert np.array_equal(tok.respond(single, chal, noise, bit_depth=16).pixels,
-                                  tok.respond(double, chal, noise, bit_depth=16).pixels)
+            rng = tok._noise_rng(noise)
+            sigma = noise.phase_sigma_total
+            rows = t.field_tensor[on]
+            field = rows.sum(axis=0)
+            if sigma > 0 and len(on) < tok._GAUSSIAN_DRIFT_MIN_ROWS:
+                phi = np.float32(sigma) * rng.standard_normal(rows.shape, dtype=np.float32)
+                field = (rows * np.exp(np.complex64(1j) * phi)).sum(axis=0)
+            elif sigma > 0:
+                c = math.exp(-0.5 * sigma * sigma)
+                power = t.rows[on, 2 * n_out :].sum(axis=0)
+                spread = np.sqrt(np.float32(0.5 * (1.0 - c * c)) * power)
+                drift = rng.standard_normal(2 * n_out, dtype=np.float32).view(np.complex64)
+                field = np.float32(c) * field + spread * drift
+            camera = None
+            if noise.intensity_sigma > 0:
+                camera = np.float32(noise.intensity_sigma * qmax) * rng.standard_normal(
+                    t.out_dims, dtype=np.float32)
+            assert field.dtype == np.complex64
+            expected = manual_tail(t, field, len(on), 16, camera_noise=camera)
+            assert np.array_equal(tok.respond(t, chal, noise, bit_depth=16).pixels, expected)
 
 
 @pytest.mark.parametrize("bit_depth", [8, 16])
@@ -151,19 +190,12 @@ def test_capture_pipeline_matches_manual_recomputation(on, grain, bit_depth):
     t = make_token(seed=6, grain=grain)
     img = tok.respond(t, mask_from_indices(t.grid_dims, on), noise=tok.NoiseParams.none(),
                       bit_depth=bit_depth)
-
-    # rows add up in the table's single precision, the rest runs in double
-    field = t.field_tensor[np.sort(on)].sum(axis=0).astype(np.complex128).reshape(t.out_dims)
-    if grain > 0:
-        fy = np.fft.fftfreq(t.out_dims[0])
-        fx = np.fft.fftfreq(t.out_dims[1])
-        h = np.exp(-2.0 * np.pi**2 * grain**2 * (fy[:, None] ** 2 + fx[None, :] ** 2))
-        h = h / np.sqrt((h**2).mean())
-        field = np.fft.ifft2(np.fft.fft2(field) * h)
-    intensity = np.abs(field) ** 2
-    qmax = 2**bit_depth - 1
-    expected = np.clip(np.floor(intensity * (qmax / (4.0 * len(on))) + 0.5), 0, qmax)
-    assert np.array_equal(img.pixels, expected)
+    # rows add up in the table's single precision, and the rest stays there
+    field = t.field_tensor[np.sort(on)].sum(axis=0)
+    assert np.array_equal(img.pixels, manual_tail(t, field, len(on), bit_depth))
+    # against the same capture in double precision, rounding moves a pixel by at most 1
+    double = manual_tail(t, field, len(on), bit_depth, dtype=np.complex128)
+    assert np.abs(img.pixels - double).max() <= 1
 
 
 def test_empty_pattern_gives_dark_frame():
@@ -422,6 +454,29 @@ def test_vibration_translates_the_frame(monkeypatch):
     # residual budget: source-frame quantization (+-0.5) carried through the
     # interpolation kernel plus the registration's own sub-0.001 px error
     assert np.abs(rebuilt - vf).max() <= 0.001 * 65535
+
+
+def test_vibration_path_stays_single_precision(monkeypatch):
+    # a shaken capture translates the float32 frame and gets a float32 frame
+    # back, and the same noise_seed reproduces it bit for bit
+    seen = []
+    translate = tok._translate
+
+    def spy(img, dr, dc):
+        out = translate(img, dr, dc)
+        seen.append((img.dtype, out.dtype))
+        return out
+
+    monkeypatch.setattr(tok, "_translate", spy)
+    t = make_token(seed=8, grain=1.5)
+    chal = tok.random_pattern(t.grid_dims, 1)
+    noise = tok.NoiseParams(vibration_amp=1.5, vibration_prob=1.0, noise_seed=3)
+    a, b = (tok.respond(t, chal, noise) for _ in range(2))
+    assert seen == [(np.float32, np.float32)] * 2
+    assert a.pixels.dtype == np.uint8 and a.shape == t.out_dims
+    assert abs(a.as_float().mean() - 255.0 / 4.0) < 8.0
+    assert np.array_equal(a.pixels, b.pixels)
+    assert not np.array_equal(a.pixels, tok.respond(t, chal, noise.with_seed(4)).pixels)
 
 
 def test_vibration_probability_zero_is_identity():
