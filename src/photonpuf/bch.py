@@ -2,10 +2,13 @@
 
 The codec is self-contained: GF(2)[x] arithmetic on python ints builds the
 log/antilog field tables and the generator (from minimal polynomials), and
-encoding is systematic. Decoding computes the syndromes and runs the Chien
-root search with numpy over the field tables for every code length, with
-Berlekamp-Massey in between; a final syndrome check makes sure every
-corrected word is a codeword.
+encoding is systematic. Each code is built once per process: ``bch_new`` is
+memoized, and the code it returns is frozen, so every caller and thread
+shares one immutable object. Decoding computes all 2t syndromes in one numpy
+array expression over the field tables, runs Berlekamp-Massey on python
+ints, and evaluates every locator term of the Chien root search in one more
+array expression; a final syndrome check makes sure every corrected word is
+a codeword.
 
 The field tables are also the primitivity check: a degree-m polynomial f is
 primitive iff the powers of x modulo f visit all 2^m - 1 nonzero residues
@@ -18,9 +21,11 @@ authentication path treat it as a rejection, never as a crash.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
-from ._binio import Reader, le, pack_bits, packed_size, unpack_bits
+from ._binio import Reader, le, packed_size
 
 __all__ = [
     "BchParams",
@@ -65,7 +70,28 @@ def _pmod(a: int, b: int) -> int:
 # ----------------------------------------------------------------------
 # GF(2^m) field tables
 
-class _Field:
+class _Frozen:
+    """Refuses attribute assignment and deletion once ``_freeze`` has run.
+
+    A constructed code is shared by every record and thread in the process
+    (``bch_new`` is memoized), so nothing may change it after construction.
+    """
+
+    def _freeze(self):
+        object.__setattr__(self, "_frozen", True)
+
+    def __setattr__(self, name, value):
+        if getattr(self, "_frozen", False):
+            raise AttributeError(f"{type(self).__name__} is immutable")
+        object.__setattr__(self, name, value)
+
+    def __delattr__(self, name):
+        if getattr(self, "_frozen", False):
+            raise AttributeError(f"{type(self).__name__} is immutable")
+        object.__delattr__(self, name)
+
+
+class _Field(_Frozen):
     def __init__(self, m: int, prim_poly: int):
         self.m = m
         self.n = (1 << m) - 1
@@ -88,9 +114,11 @@ class _Field:
         for i in range(self.n):
             exp[self.n + i] = exp[i]
         log[0] = -1
-        self.exp = exp          # python list, scalar fast path
-        self.log = log
+        self.exp = tuple(exp)   # python ints, scalar fast path
+        self.log = tuple(log)
         self.exp_np = np.array(exp, dtype=np.int64)
+        self.exp_np.flags.writeable = False
+        self._freeze()
 
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
@@ -140,8 +168,8 @@ def _minimal_poly(field: _Field, i: int) -> int:
 # ----------------------------------------------------------------------
 # code construction
 
-class BchParams:
-    """A constructed binary BCH code.
+class BchParams(_Frozen):
+    """A constructed, immutable binary BCH code.
 
     Attributes
     ----------
@@ -170,6 +198,7 @@ class BchParams:
         if self.k <= 0:
             raise ValueError(f"BCH(m={self.m}, t={t}) has no message bits")
         self._field = field
+        self._freeze()
 
     def __repr__(self):
         return f"BchParams(n={self.n}, k={self.k}, t={self.t})"
@@ -185,12 +214,18 @@ class BchParams:
         return hash((self.m, self.t, self.primitive_poly, self.generator_poly))
 
 
+@functools.lru_cache(maxsize=16)
 def bch_new(m: int, t: int, primitive_poly: int | None = None) -> BchParams:
     """Construct the narrow-sense binary BCH code of length 2^m - 1.
 
     The generator is the least common multiple of the minimal polynomials of
     alpha, alpha^3, ..., alpha^(2t-1). Raises ``ValueError`` when the
     requested correction capability leaves no message bits.
+
+    Each code is built once per process: the result is memoized on the
+    arguments and is immutable, so all callers share it. Errors are not
+    memoized, and the cache holds at most 16 codes, however many distinct
+    parameters stored records name.
     """
     if not 3 <= m <= 10:
         raise ValueError(f"m={m} outside supported range [3, 10]")
@@ -216,18 +251,14 @@ def bch_new(m: int, t: int, primitive_poly: int | None = None) -> BchParams:
 # encode / decode
 
 def _bits_to_poly(bits: np.ndarray) -> int:
-    # bits[0] is the highest-degree coefficient
-    out = 0
-    for b in bits:
-        out = (out << 1) | int(b)
-    return out
+    # bits[0] is the highest-degree coefficient; packbits pads the tail with zeros
+    return int.from_bytes(np.packbits(bits).tobytes(), "big") >> (-bits.size % 8)
 
 
 def _poly_to_bits(p: int, width: int) -> np.ndarray:
-    out = np.zeros(width, dtype=np.uint8)
-    for i in range(width):
-        out[i] = (p >> (width - 1 - i)) & 1
-    return out
+    pad = -width % 8
+    data = (p << pad).to_bytes((width + pad) // 8, "big")
+    return np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=width)
 
 
 def encode(params: BchParams, secret) -> np.ndarray:
@@ -250,13 +281,9 @@ def _syndromes(params: BchParams, noisy: np.ndarray):
     field = params._field
     n = field.n
     degrees = (n - 1 - np.nonzero(noisy)[0]).astype(np.int64)
-    s = [0] * (2 * params.t)
-    if degrees.size == 0:
-        return s
-    for j in range(2 * params.t):
-        vals = field.exp_np[(j + 1) * degrees % n]
-        s[j] = int(np.bitwise_xor.reduce(vals))
-    return s
+    j = np.arange(1, 2 * params.t + 1, dtype=np.int64)
+    # S_j = XOR over set bits of alpha^(j * degree), all j at once
+    return np.bitwise_xor.reduce(field.exp_np[j[:, None] * degrees % n], axis=1).tolist()
 
 
 def _berlekamp_massey(params: BchParams, synd):
@@ -303,16 +330,15 @@ def _berlekamp_massey(params: BchParams, synd):
 
 
 def _chien(params: BchParams, locator):
-    """Roots of the locator by evaluation at every field element; returns error degrees."""
+    """Roots of the locator by evaluation at every field element; returns the error degrees."""
     field = params._field
     n = field.n
-    idx = np.arange(n, dtype=np.int64)
-    acc = np.zeros(n, dtype=np.int64)
-    for j, cj in enumerate(locator):
-        if cj:
-            acc ^= field.exp_np[(field.log[cj] + j * idx) % n]
-    roots = np.nonzero(acc == 0)[0]
-    return [int((n - i) % n) for i in roots]
+    j = np.array([i for i, c in enumerate(locator) if c], dtype=np.int64)
+    logs = np.array([field.log[c] for c in locator if c], dtype=np.int64)
+    # one row per nonzero term c_j * alpha^(j*i), over every i; the locator value is their XOR
+    terms = field.exp_np[(logs[:, None] + j[:, None] * np.arange(n)) % n]
+    roots = np.nonzero(np.bitwise_xor.reduce(terms, axis=0) == 0)[0]
+    return (n - roots) % n
 
 
 def decode(params: BchParams, noisy) -> tuple[np.ndarray, int] | None:
@@ -340,8 +366,7 @@ def decode(params: BchParams, noisy) -> tuple[np.ndarray, int] | None:
         return None
 
     corrected = noisy.copy()
-    for d in error_degrees:
-        corrected[params.n - 1 - d] ^= 1
+    corrected[params.n - 1 - error_degrees] ^= 1
     if any(_syndromes(params, corrected)):
         return None
     return corrected[: params.k], n_err
@@ -354,10 +379,8 @@ _VERSION = 1
 
 
 def params_to_bytes(params: BchParams) -> bytes:
-    gen_bits = np.array(
-        [(params.generator_poly >> i) & 1 for i in range(_deg(params.generator_poly) + 1)],
-        dtype=np.uint8,
-    )
+    # the generator's bits, coefficient of x^0 first: its little-endian bytes
+    n_bits = params.generator_poly.bit_length()
     return b"".join(
         [
             _MAGIC,
@@ -365,13 +388,19 @@ def params_to_bytes(params: BchParams) -> bytes:
             le("B", params.m),
             le("H", params.t),
             le("I", params.primitive_poly),
-            le("I", gen_bits.size),
-            pack_bits(gen_bits),
+            le("I", n_bits),
+            params.generator_poly.to_bytes(packed_size(n_bits), "little"),
         ]
     )
 
 
 def params_from_bytes(data: bytes) -> BchParams:
+    """Parse a stored code and check its generator against the construction.
+
+    A stored record reuses the process's code: ``bch_new`` is memoized, so
+    every record naming the same ``(m, t, primitive_poly)`` gets one shared
+    object, and only the first builds the field tables.
+    """
     r = Reader(data)
     r.expect_magic(_MAGIC, "BCH parameter")
     r.expect_version(_VERSION, "BCH parameter")
@@ -379,10 +408,8 @@ def params_from_bytes(data: bytes) -> BchParams:
     t = r.unpack("H")
     prim = r.unpack("I")
     n_bits = r.unpack("I")
-    bits = unpack_bits(r.take(packed_size(n_bits)), n_bits)
-    gen = 0
-    for i, b in enumerate(bits):
-        gen |= int(b) << i
+    # bits past n_bits in the last byte are padding and ignored
+    gen = int.from_bytes(r.take(packed_size(n_bits)), "little") & ((1 << n_bits) - 1)
     params = bch_new(m, t, primitive_poly=prim)
     if params.generator_poly != gen:
         raise ValueError("stored generator does not match construction")

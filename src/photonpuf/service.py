@@ -147,10 +147,10 @@ class RecordStore:
             os.close(dir_fd)
 
     def load(self, record_id: bytes) -> EnrollmentRecord:
-        path = self._path(record_id)
-        if not os.path.exists(path):
-            raise KeyError(record_id.hex())
-        return load_record(path)
+        try:
+            return load_record(self._path(record_id))
+        except FileNotFoundError:
+            raise KeyError(record_id.hex()) from None
 
 
 

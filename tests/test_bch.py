@@ -6,6 +6,7 @@ of GF(2)[x] products and cyclotomic coset sizes), not from the module under
 test.
 """
 
+import pathlib
 import struct
 
 import numpy as np
@@ -15,6 +16,7 @@ from hypothesis import strategies as st
 
 from photonpuf import bch
 from photonpuf.errors import BadMagicError, TruncatedError, UnsupportedVersionError
+from photonpuf.protocol import record_from_bytes
 
 
 # ---------------------------------------------------------------- oracles
@@ -163,6 +165,43 @@ def test_overlong_t_rejected():
         bch.bch_new(2, 1)
 
 
+# ---------------------------------------------------------------- one code per process
+
+def test_each_code_is_built_once_and_shared():
+    assert bch.bch_new(8, 31) is bch.bch_new(8, 31)
+    blob = (pathlib.Path(__file__).parent / "data" / "rbm_8x8_64x64_seed3.pufr").read_bytes()
+    assert record_from_bytes(blob).bch_params is record_from_bytes(blob).bch_params
+
+
+def test_non_primitive_polynomial_raises_on_every_call():
+    # 0x11B is irreducible, but x has order 51, not 255; errors are not memoized
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            bch.bch_new(8, 4, primitive_poly=0x11B)
+
+
+def test_code_cache_is_bounded():
+    for m in range(3, 11):
+        for t in (1, 2, 3):
+            bch.bch_new(m, t)
+    assert bch.bch_new.cache_info().maxsize == 16
+    assert bch.bch_new.cache_info().currsize <= 16
+
+
+def test_shared_code_is_immutable():
+    params = bch.bch_new(5, 3)
+    field = params._field
+    with pytest.raises(AttributeError):
+        params.t = 4
+    with pytest.raises(AttributeError):
+        del params.generator_poly
+    with pytest.raises(AttributeError):
+        field.n = 7
+    with pytest.raises(ValueError):
+        field.exp_np[1] = 0
+    assert (params.t, field.n, field.exp_np[1]) == (3, 31, 2)
+
+
 # ---------------------------------------------------------------- encoding
 
 def test_encode_zero_is_zero():
@@ -276,6 +315,47 @@ def test_beyond_radius_never_silently_inconsistent():
             recoded = bch.encode(params, msg)
             assert n_err <= params.t
             assert int((recoded ^ noisy).sum()) == n_err
+
+
+def scalar_syndromes(params, word):
+    field = params._field
+    degrees = [params.n - 1 - p for p in np.nonzero(word)[0]]
+    out = []
+    for j in range(1, 2 * params.t + 1):
+        s = 0
+        for d in degrees:
+            s ^= field.alpha_pow(j * d)
+        out.append(s)
+    return out
+
+
+def scalar_chien(params, locator):
+    # a root alpha^i of the locator marks an error at degree -i mod n
+    field = params._field
+    degrees = []
+    for i in range(params.n):
+        x, xj, value = field.alpha_pow(i), 1, 0
+        for c in locator:
+            value ^= field.mul(c, xj)
+            xj = field.mul(xj, x)
+        if value == 0:
+            degrees.append((params.n - i) % params.n)
+    return sorted(degrees)
+
+
+@pytest.mark.parametrize(
+    "m,t", [(3, 1), (4, 3), (5, 5), (6, 7), (7, 10), (8, 31), (9, 20), (10, 25)]
+)
+def test_array_syndromes_and_chien_match_scalar_reference(m, t):
+    params = bch.bch_new(m, t)
+    rng = np.random.default_rng(m)
+    for w in range(t + 4):
+        word = np.zeros(params.n, dtype=np.uint8)
+        word[rng.choice(params.n, size=w, replace=False)] = 1
+        synd = bch._syndromes(params, word)
+        assert synd == scalar_syndromes(params, word)
+        locator, _ = bch._berlekamp_massey(params, synd)
+        assert sorted(bch._chien(params, locator).tolist()) == scalar_chien(params, locator)
 
 
 @pytest.mark.parametrize("m,t", [(6, 3), (7, 5), (8, 31)])
