@@ -2,13 +2,14 @@
 
 The codec is self-contained: GF(2)[x] arithmetic on python ints builds the
 log/antilog field tables and the generator (from minimal polynomials), and
-encoding is systematic. Each code is built once per process: ``bch_new`` is
-memoized, and the code it returns is frozen, so every caller and thread
-shares one immutable object. Decoding computes all 2t syndromes in one numpy
-array expression over the field tables, runs Berlekamp-Massey on python
-ints, and evaluates every locator term of the Chien root search in one more
-array expression; a final syndrome check makes sure every corrected word is
-a codeword.
+encoding is systematic. There is one object per code, however it is named:
+``bch_new`` resolves the default primitive polynomial before a memoized
+builder runs, and the code it returns is a frozen dataclass, so every
+caller, stored record and thread shares one immutable object. Decoding
+computes all 2t syndromes in one numpy array expression over the field
+tables, runs Berlekamp-Massey on python ints, and evaluates every locator
+term of the Chien root search in one more array expression; a final
+syndrome check makes sure every corrected word is a codeword.
 
 The field tables are also the primitivity check: a degree-m polynomial f is
 primitive iff the powers of x modulo f visit all 2^m - 1 nonzero residues
@@ -22,10 +23,12 @@ authentication path treat it as a rejection, never as a crash.
 from __future__ import annotations
 
 import functools
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
-from ._binio import Reader, le, packed_size
+from ._binio import Reader, frozen_array, le, packed_size
 
 __all__ = [
     "BchParams",
@@ -70,72 +73,38 @@ def _pmod(a: int, b: int) -> int:
 # ----------------------------------------------------------------------
 # GF(2^m) field tables
 
-class _Frozen:
-    """Refuses attribute assignment and deletion once ``_freeze`` has run.
-
-    A constructed code is shared by every record and thread in the process
-    (``bch_new`` is memoized), so nothing may change it after construction.
-    """
-
-    def _freeze(self):
-        object.__setattr__(self, "_frozen", True)
-
-    def __setattr__(self, name, value):
-        if getattr(self, "_frozen", False):
-            raise AttributeError(f"{type(self).__name__} is immutable")
-        object.__setattr__(self, name, value)
-
-    def __delattr__(self, name):
-        if getattr(self, "_frozen", False):
-            raise AttributeError(f"{type(self).__name__} is immutable")
-        object.__delattr__(self, name)
+# the least primitive polynomial of each degree, the field a code gets by default
+_LEAST_PRIMITIVE = {3: 0xB, 4: 0x13, 5: 0x25, 6: 0x43, 7: 0x83, 8: 0x11D, 9: 0x211, 10: 0x409}
 
 
-class _Field(_Frozen):
-    def __init__(self, m: int, prim_poly: int):
-        self.m = m
-        self.n = (1 << m) - 1
-        self.prim_poly = prim_poly
-        if prim_poly >> m != 1:
-            raise ValueError(f"0x{prim_poly:x} is not a polynomial of degree {m}")
-        exp = [0] * (2 * self.n)
-        log = [0] * (self.n + 1)
-        x, i = 1, 0
-        for i in range(self.n):
-            exp[i] = x
-            log[x] = i
-            x <<= 1
-            if x >> m:
-                x ^= prim_poly
-            if x == 1:
-                break
-        if x != 1 or i != self.n - 1:  # primitive iff x first returns to 1 at x^n
-            raise ValueError(f"0x{prim_poly:x} is not primitive for m={m}")
-        for i in range(self.n):
-            exp[self.n + i] = exp[i]
-        log[0] = -1
-        self.exp = tuple(exp)   # python ints, scalar fast path
-        self.log = tuple(log)
-        self.exp_np = np.array(exp, dtype=np.int64)
-        self.exp_np.flags.writeable = False
-        self._freeze()
+class _Tables(NamedTuple):
+    """Antilog and log tables of GF(2^m); ``exp`` runs twice over, so index sums need no modulo."""
 
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return self.exp[self.log[a] + self.log[b]]
-
-    def alpha_pow(self, e: int) -> int:
-        return self.exp[e % self.n]
+    exp: tuple          # python ints, scalar fast path
+    log: tuple
+    exp_np: np.ndarray  # ``exp`` again, read-only, for the array forms
 
 
-def _least_field(m: int) -> _Field:
-    for f in range((1 << m) | 1, 1 << (m + 1), 2):
-        try:
-            return _Field(m, f)
-        except ValueError:
-            pass
-    raise AssertionError(f"no primitive polynomial of degree {m}")
+def _field_tables(m: int, prim_poly: int) -> _Tables:
+    n = (1 << m) - 1
+    if prim_poly >> m != 1:
+        raise ValueError(f"0x{prim_poly:x} is not a polynomial of degree {m}")
+    exp = [0] * (2 * n)
+    log = [0] * (n + 1)
+    x, i = 1, 0
+    for i in range(n):
+        exp[i] = x
+        log[x] = i
+        x <<= 1
+        if x >> m:
+            x ^= prim_poly
+        if x == 1:
+            break
+    if x != 1 or i != n - 1:  # primitive iff x first returns to 1 at x^n
+        raise ValueError(f"0x{prim_poly:x} is not primitive for m={m}")
+    exp[n:] = exp[:n]
+    log[0] = -1
+    return _Tables(tuple(exp), tuple(log), frozen_array(exp, np.int64))
 
 
 def _cyclotomic_coset(i: int, n: int):
@@ -147,15 +116,16 @@ def _cyclotomic_coset(i: int, n: int):
     return coset
 
 
-def _minimal_poly(field: _Field, i: int) -> int:
+def _minimal_poly(tables: _Tables, n: int, i: int) -> int:
     """Minimal polynomial over GF(2) of alpha^i, as an int encoding."""
+    exp, log = tables.exp, tables.log
     coeffs = [1]  # product of (x + alpha^c), coefficients live in GF(2^m)
-    for c in _cyclotomic_coset(i, field.n):
-        root = field.alpha_pow(c)
+    for c in _cyclotomic_coset(i, n):
         nxt = [0] * (len(coeffs) + 1)
         for k, a in enumerate(coeffs):
             nxt[k + 1] ^= a
-            nxt[k] ^= field.mul(a, root)
+            if a:
+                nxt[k] ^= exp[log[a] + c]  # a * alpha^c
         coeffs = nxt
     out = 0
     for k, a in enumerate(coeffs):
@@ -168,8 +138,12 @@ def _minimal_poly(field: _Field, i: int) -> int:
 # ----------------------------------------------------------------------
 # code construction
 
-class BchParams(_Frozen):
-    """A constructed, immutable binary BCH code.
+@dataclass(frozen=True)
+class BchParams:
+    """A constructed binary BCH code: frozen, and one shared object per code.
+
+    Equality and hashing are by ``(m, t, primitive_poly, generator_poly)``;
+    the field tables ride along uncompared.
 
     Attributes
     ----------
@@ -187,64 +161,63 @@ class BchParams(_Frozen):
         Primitive polynomial defining the field representation.
     """
 
-    def __init__(self, field: _Field, t: int, generator_poly: int):
-        self.m = field.m
-        self.t = t
-        self.d = 2 * t + 1
-        self.n = field.n
-        self.primitive_poly = field.prim_poly
-        self.generator_poly = generator_poly
-        self.k = self.n - _deg(generator_poly)
-        if self.k <= 0:
-            raise ValueError(f"BCH(m={self.m}, t={t}) has no message bits")
-        self._field = field
-        self._freeze()
+    m: int
+    t: int
+    primitive_poly: int
+    generator_poly: int = field(repr=False)
+    _tables: _Tables = field(compare=False, repr=False)
 
-    def __repr__(self):
-        return f"BchParams(n={self.n}, k={self.k}, t={self.t})"
+    @property
+    def n(self) -> int:
+        return (1 << self.m) - 1
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, BchParams)
-            and (self.m, self.t, self.primitive_poly, self.generator_poly)
-            == (other.m, other.t, other.primitive_poly, other.generator_poly)
-        )
+    @property
+    def k(self) -> int:
+        return self.n - _deg(self.generator_poly)
 
-    def __hash__(self):
-        return hash((self.m, self.t, self.primitive_poly, self.generator_poly))
+    @property
+    def d(self) -> int:
+        return 2 * self.t + 1
 
 
-@functools.lru_cache(maxsize=16)
 def bch_new(m: int, t: int, primitive_poly: int | None = None) -> BchParams:
     """Construct the narrow-sense binary BCH code of length 2^m - 1.
 
     The generator is the least common multiple of the minimal polynomials of
-    alpha, alpha^3, ..., alpha^(2t-1). Raises ``ValueError`` when the
+    alpha, alpha^3, ..., alpha^(2t-1). ``primitive_poly=None`` picks the least
+    primitive polynomial of degree m. Raises ``ValueError`` when the
     requested correction capability leaves no message bits.
 
-    Each code is built once per process: the result is memoized on the
-    arguments and is immutable, so all callers share it. Errors are not
-    memoized, and the cache holds at most 16 codes, however many distinct
-    parameters stored records name.
+    There is one object per code, however it is named: the default
+    polynomial is resolved before the memoized builder runs, so
+    ``bch_new(8, 31)`` and ``bch_new(8, 31, primitive_poly=0x11D)`` return
+    the same frozen code. Errors are not memoized, and the cache holds at
+    most 16 codes, however many distinct parameters stored records name.
     """
     if not 3 <= m <= 10:
         raise ValueError(f"m={m} outside supported range [3, 10]")
     if t < 1:
         raise ValueError(f"t={t} must be at least 1")
-    field = _least_field(m) if primitive_poly is None else _Field(m, primitive_poly)
+    return _build(m, t, _LEAST_PRIMITIVE[m] if primitive_poly is None else primitive_poly)
+
+
+@functools.lru_cache(maxsize=16)
+def _build(m: int, t: int, primitive_poly: int) -> BchParams:
+    tables = _field_tables(m, primitive_poly)
+    n = (1 << m) - 1
     gen = 1
     covered: set[int] = set()
     for i in range(1, 2 * t, 2):
-        if i % field.n in covered:
+        if i % n in covered:
             continue
-        coset = _cyclotomic_coset(i, field.n)
-        covered.update(coset)
-        gen = _pmul(gen, _minimal_poly(field, i))
-    params = BchParams(field, t, gen)
+        covered.update(_cyclotomic_coset(i, n))
+        gen = _pmul(gen, _minimal_poly(tables, n, i))
+    if _deg(gen) >= n:
+        raise ValueError(f"BCH(m={m}, t={t}) has no message bits")
     # generator must divide x^n - 1, otherwise the construction is broken
-    if _pmod((1 << params.n) | 1, gen) != 0:
+    if _pmod((1 << n) | 1, gen) != 0:
         raise AssertionError("generator does not divide x^n - 1")
-    return params
+    return BchParams(m, t, primitive_poly, gen, tables)
 
 
 # ----------------------------------------------------------------------
@@ -278,12 +251,11 @@ def encode(params: BchParams, secret) -> np.ndarray:
 
 def _syndromes(params: BchParams, noisy: np.ndarray):
     """Power-sum syndromes S_1..S_2t of a received word."""
-    field = params._field
-    n = field.n
+    exp_np, n = params._tables.exp_np, params.n
     degrees = (n - 1 - np.nonzero(noisy)[0]).astype(np.int64)
     j = np.arange(1, 2 * params.t + 1, dtype=np.int64)
     # S_j = XOR over set bits of alpha^(j * degree), all j at once
-    return np.bitwise_xor.reduce(field.exp_np[j[:, None] * degrees % n], axis=1).tolist()
+    return np.bitwise_xor.reduce(exp_np[j[:, None] * degrees % n], axis=1).tolist()
 
 
 def _berlekamp_massey(params: BchParams, synd):
@@ -292,8 +264,7 @@ def _berlekamp_massey(params: BchParams, synd):
     Returns ``(locator, L)``. The locator has no trailing zero coefficients,
     so its degree is ``len(locator) - 1``.
     """
-    field = params._field
-    exp, log, n = field.exp, field.log, field.n
+    exp, log, n = params._tables.exp, params._tables.log, params.n
     c = [1]
     b = [1]
     L = 0
@@ -331,12 +302,11 @@ def _berlekamp_massey(params: BchParams, synd):
 
 def _chien(params: BchParams, locator):
     """Roots of the locator by evaluation at every field element; returns the error degrees."""
-    field = params._field
-    n = field.n
+    tables, n = params._tables, params.n
     j = np.array([i for i, c in enumerate(locator) if c], dtype=np.int64)
-    logs = np.array([field.log[c] for c in locator if c], dtype=np.int64)
+    logs = np.array([tables.log[c] for c in locator if c], dtype=np.int64)
     # one row per nonzero term c_j * alpha^(j*i), over every i; the locator value is their XOR
-    terms = field.exp_np[(logs[:, None] + j[:, None] * np.arange(n)) % n]
+    terms = tables.exp_np[(logs[:, None] + j[:, None] * np.arange(n)) % n]
     roots = np.nonzero(np.bitwise_xor.reduce(terms, axis=0) == 0)[0]
     return (n - roots) % n
 
@@ -397,9 +367,10 @@ def params_to_bytes(params: BchParams) -> bytes:
 def params_from_bytes(data: bytes) -> BchParams:
     """Parse a stored code and check its generator against the construction.
 
-    A stored record reuses the process's code: ``bch_new`` is memoized, so
-    every record naming the same ``(m, t, primitive_poly)`` gets one shared
-    object, and only the first builds the field tables.
+    A stored record reuses the process's code: there is one object per
+    code, however it is named, so a record of the default code gets the very
+    object ``bch_new(m, t)`` returns, and only the first use builds the
+    field tables.
     """
     r = Reader(data)
     r.expect_magic(_MAGIC, "BCH parameter")

@@ -23,7 +23,7 @@ accepts, for every t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -67,7 +67,7 @@ def unclonability(token: TokenModel, challenge, other_token_seeds, noise: NoiseP
     images = [respond(token, challenge, noise)]
     for i, seed in enumerate(other_token_seeds, start=1):
         # one other token alive at a time: a default token holds 48 MiB
-        other = TokenModel(seed, *token.descriptor()[1:])
+        other = replace(token, token_seed=seed)
         images.append(respond(other, challenge, noise.with_seed(noise.noise_seed + i)))
     return images
 

@@ -23,6 +23,7 @@ from .protocol import authenticate, enroll, load_record, save_record, verify
 from .randomness import ALL_TESTS, nist_test, suite_report
 from .service import DEFAULT_FRAME_TIMEOUT, PufServer, PufService, RecordStore, random_bits
 from .token import (
+    DEFAULT_GRAIN_PX,
     KINDS,
     NoiseParams,
     PixelPattern,
@@ -111,14 +112,13 @@ def _eval_flags(parser: argparse.ArgumentParser, capture):
 # subcommand bodies
 
 def _cmd_token_new(args) -> int:
-    extra = {} if args.grain is None else {"speckle_grain": args.grain}
     token = new_token(
         args.seed,
         kind=args.kind,
         grid_dims=args.grid,
         out_dims=args.out,
         wl_decorrelation_length=args.decorrelation_pm,
-        **extra,
+        speckle_grain=args.grain,
     )
     tid = token_id(token).hex()
     path = args.output or f"token-{tid[:8]}.puft"
@@ -370,7 +370,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_new.add_argument("--kind", choices=KINDS, default="diffuser")
     p_new.add_argument("--grid", type=_parse_dims, default=(16, 16))
     p_new.add_argument("--out", type=_parse_dims, default=(128, 128))
-    p_new.add_argument("--grain", type=float, default=None,
+    p_new.add_argument("--grain", type=float, default=DEFAULT_GRAIN_PX,
                        help="speckle grain radius in pixels")
     p_new.add_argument("--decorrelation-pm", type=float, default=None)
     p_new.add_argument("--output", default=None)

@@ -106,12 +106,6 @@ class BitKey:
     def __hash__(self):
         return hash((self.key_len, self.bits.tobytes()))
 
-    def __xor__(self, other) -> "BitKey":
-        other_bits = _as_bits(other)
-        if other_bits.size != self.key_len:
-            raise ValueError("length mismatch")
-        return BitKey(self.bits ^ other_bits)
-
     def to_bytes(self) -> bytes:
         """Length-prefixed packed form; the digest input for fuzzy commitment."""
         return le("I", self.key_len) + pack_bits(self.bits)

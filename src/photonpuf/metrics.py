@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -92,18 +91,13 @@ class DistanceReport:
     def count(self) -> int:
         return int(self.values.size)
 
-    def to_tsv(self) -> str:
-        out = io.StringIO()
-        out.write(f"# kind={self.kind} metric={self.metric}\n")
-        out.write(f"# count={self.count} mean={self.mean:.6g} std={self.std:.6g}\n")
-        out.write("bin_lo\tbin_hi\tcount\n")
-        for lo, hi, c in zip(self.bin_edges[:-1], self.bin_edges[1:], self.counts):
-            out.write(f"{lo:.6g}\t{hi:.6g}\t{int(c)}\n")
-        return out.getvalue()
-
     def save_tsv(self, path):
-        with open(path, "w") as fh:
-            fh.write(self.to_tsv())
+        with open(path, "w") as out:
+            out.write(f"# kind={self.kind} metric={self.metric}\n")
+            out.write(f"# count={self.count} mean={self.mean:.6g} std={self.std:.6g}\n")
+            out.write("bin_lo\tbin_hi\tcount\n")
+            for lo, hi, c in zip(self.bin_edges[:-1], self.bin_edges[1:], self.counts):
+                out.write(f"{lo:.6g}\t{hi:.6g}\t{int(c)}\n")
 
 
 # 4096 bins resolve any distance data we emit; the cap keeps a near-zero

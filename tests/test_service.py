@@ -346,6 +346,22 @@ def test_unknown_ids_not_found(tmp_path):
     assert parse_error(bad_record) == (ERR_NOT_FOUND, "unknown id " + "bb" * 16)
 
 
+def test_stored_record_of_unknown_digest_algo_refused_before_capture(tmp_path, monkeypatch):
+    service, tid = make_service(tmp_path)
+    captures = []
+    monkeypatch.setattr(svc, "respond", lambda *args, **kw: captures.append(args))
+    _, record = enroll(np.random.default_rng(0).exponential(size=(16, 16)), service.bch_params,
+                       token_id=tid, challenge=random_pattern((8, 8), 3))
+    blob = bytearray(protocol.record_to_bytes(record))
+    assert blob[-33] == protocol.DIGEST_SHA256     # the algo byte, just before the digest
+    blob[-33] = 9
+    os.makedirs(tmp_path / "records", exist_ok=True)
+    (tmp_path / "records" / f"{record.record_id.hex()}.pufr").write_bytes(bytes(blob))
+    reply = service.handle_payload(bytes([OP_AUTH]) + record.record_id)
+    assert parse_error(reply) == (ERR_BAD_FRAME, "unsupported digest algo 9")
+    assert captures == []
+
+
 def test_malformed_payloads_bad_frame(tmp_path):
     service, tid = make_service(tmp_path)
     cases = [
