@@ -140,6 +140,10 @@ class RbmHelper:
             raise ValueError("need 1..N selected indices")
         if idx.max(initial=0) >= signs.size:
             raise ValueError("selected index out of range")
+        if np.unique(idx).size != idx.size:
+            # one bin read twice gives two copies of one bit, and one bin read
+            # key_len times hashes every capture to one key
+            raise ValueError("selected indices must be distinct")
         object.__setattr__(self, "signs", signs)
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "image_dims", dims)

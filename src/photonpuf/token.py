@@ -6,10 +6,9 @@ token seed. Illuminating a subset of challenge pixels superimposes the
 corresponding rows coherently; the camera sees the squared magnitude. That
 minimal model already produces fully developed speckle (exponential intensity
 statistics) and exact field superposition between challenges. The tensor is
-stored as one read-only float32 row table per token (48 MiB at the default
-geometry), each row the interleaved (re, im) field of one challenge pixel
-followed by its powers ``|a|^2``; a capture stays in single precision from
-the sum of its lit rows to quantization.
+stored as one read-only complex64 table per token (32 MiB at the default
+geometry), one contiguous row per challenge pixel; a capture stays in single
+precision from the sum of its lit rows to quantization.
 
 Wavelength is a second challenge axis: the per-pixel field evolves with
 wavelength as a stationary Gauss-Markov (Ornstein-Uhlenbeck) process,
@@ -19,19 +18,18 @@ then have field correlation exactly exponential in their separation, and a
 query costs one seeded draw per level with no state kept between queries.
 
 Both axes share one capture pipeline. A challenge lights source rows (one
-per on pixel of a mask, or one full field for a wavelength), and phase drift
-of width ``sigma``, growing linearly with the thermal offset, perturbs each
-row by ``exp(j phi)`` with ``phi ~ N(0, sigma)`` before the coherent sum.
-The drift is drawn in one of two regimes. Below ``_GAUSSIAN_DRIFT_MIN_ROWS``
-lit rows (a wavelength, sparse masks) every row and camera pixel gets its own
-phase. With more rows the drifted sum at each pixel is, by the central limit
-theorem, circular Gaussian around ``c * sum_r a_r`` with variance
-``(1 - c^2) * sum_r |a_r|^2``, ``c = exp(-sigma^2 / 2)``, so one complex
-normal per pixel replaces the per-row phases, and one pass that adds up only
-the lit rows of the table yields both sums. Grain, optional vibration
-jitter (a translation by roughly one resonant amplitude in a random
-direction, sub-pixel offsets included), additive camera noise on the scaled
-intensity and quantization follow.
+per on pixel of a mask, or one full field for a wavelength), and drift of
+width ``sigma``, growing linearly with the thermal offset, partly
+decorrelates the medium: each capture sees ``T' = c T + sqrt(1 - c^2) W``,
+``c = exp(-sigma^2 / 2)``, with ``W`` a fresh i.i.d. unit circular Gaussian
+matrix (Goodman, *Speckle Phenomena in Optics*). Summed over ``R`` lit rows
+that is exactly ``c * sum_r a_r + sqrt((1 - c^2) R) w``, one unit complex
+normal ``w`` per camera pixel, so a capture adds up only the lit rows of the
+table and draws one complex normal per pixel. The field correlation with the
+noiseless capture is ``c``, the intensity correlation ``exp(-sigma^2)``.
+Grain, optional vibration jitter (a translation by roughly one resonant
+amplitude in a random direction, sub-pixel offsets included), additive
+camera noise on the scaled intensity and quantization follow.
 """
 
 from __future__ import annotations
@@ -92,8 +90,8 @@ _HEADROOM = 4.0
 _DRIFT_COEFF = 0.2
 
 # most field tensor elements (grid x camera pixels) a token may have: about
-# 4x the default 256 x 16384, 12 bytes each in the float32 row table (192 MiB
-# at the limit), so a hostile token file cannot demand gigabytes
+# 4x the default 256 x 16384, 8 bytes each in the complex64 table (128 MiB at
+# the limit), so a hostile token file cannot demand gigabytes
 MAX_FIELD_ELEMENTS = 2 ** 24
 
 _TAG_FIELD = 0x1A57
@@ -108,11 +106,6 @@ _MAX_BRIDGE_LEVELS = 64
 _MIN_DECORRELATION_PM = (
     (TUNING_RANGE_NM[1] - TUNING_RANGE_NM[0]) * 1000.0 * _BRIDGE_RESOLUTION
     / 2.0 ** _MAX_BRIDGE_LEVELS)
-
-# lit rows from which capture drift is one circular Gaussian per camera pixel;
-# its intensity variance exceeds the per-row draw's by a factor of about
-# 1 + 2/R, under 1.1 from here on (tests/test_token.py pins this)
-_GAUSSIAN_DRIFT_MIN_ROWS = 24
 
 _MAGIC_TOKEN = b"PUFT"
 _TOKEN_VERSION = 1
@@ -178,9 +171,11 @@ class SpeckleImage:
 class NoiseParams:
     """Readout noise configuration for a single capture.
 
-    intensity_sigma is a fraction of full scale; phase_drift_sigma is in
-    radians; delta_T (degrees C) adds ``_DRIFT_COEFF * |delta_T|`` (0.2
-    rad/degC) of extra phase spread. vibration models a resonant mechanical mode: with
+    intensity_sigma is a fraction of full scale; phase_drift_sigma (radians)
+    is the width sigma of the medium's decorrelation: a capture's field keeps
+    correlation ``exp(-sigma^2 / 2)`` with the noiseless one. delta_T
+    (degrees C) adds ``_DRIFT_COEFF * |delta_T|`` (0.2 rad/degC) to sigma.
+    vibration models a resonant mechanical mode: with
     probability vibration_prob per capture the frame is translated by about
     vibration_amp pixels (within +-20%) in a uniformly random direction.
     noise_seed makes the capture reproducible; all-zero magnitudes give
@@ -224,14 +219,12 @@ class NoiseParams:
 class TokenModel:
     """An instantiated token: seed, geometry and the realized field tensor.
 
-    ``rows`` is a read-only float32 table of shape ``(n_grid, 3 * n_out)``,
-    one row per modulator pixel: columns ``[0, 2 * n_out)`` hold the
-    interleaved (re, im) field at each camera pixel and the last ``n_out``
-    its power ``|a|^2``. ``field_tensor`` is a complex64 view of the field
-    columns, not a copy. The field is a float64 circular Gaussian draw,
-    scaled by ``1/sqrt(2)`` and rounded once to float32; ``grain_kernel``, the
-    grain filter's transfer function, is float32 too, so captures run in
-    single precision from the table on. The table is fully
+    ``field_tensor`` is a read-only, C-contiguous complex64 table of shape
+    ``(n_grid, n_out)``, one row per modulator pixel holding its field at
+    each camera pixel. The field is a float64 circular Gaussian draw, scaled
+    by ``1/sqrt(2)`` and rounded once to complex64; ``grain_kernel``, the
+    grain filter's transfer function, is float32, so captures run in single
+    precision from the table on. The table is fully
     determined by (token_seed, kind, grid_dims, out_dims); two constructions
     from the same parameters are identical. Instances are frozen (every
     query is a pure function of the descriptor) and safe to share across
@@ -245,7 +238,7 @@ class TokenModel:
     out_dims: tuple
     wl_decorrelation_length: float
     speckle_grain: float
-    rows: np.ndarray = field(init=False, repr=False, compare=False)
+    field_tensor: np.ndarray = field(init=False, repr=False, compare=False)
     grain_kernel: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -280,17 +273,12 @@ class TokenModel:
                  _TAG_FIELD]
             )
         )
-        rows = np.empty((n_grid, 3 * n_out), dtype=np.float32)
-        field_tensor = rows[:, : 2 * n_out].view(np.complex64)
+        field_tensor = np.empty((n_grid, n_out), dtype=np.complex64)
         for part in (field_tensor.real, field_tensor.imag):
             # float64 draws scaled in float64, rounded once to float32
             np.divide(rng.standard_normal((n_grid, n_out)), np.sqrt(2.0), out=part)
-        # incoherent row powers |a|^2, the variance weights of the Gaussian drift
-        power = rows[:, 2 * n_out :]
-        np.abs(field_tensor, out=power)
-        np.square(power, out=power)
-        rows.flags.writeable = False
-        object.__setattr__(self, "rows", rows)
+        field_tensor.flags.writeable = False
+        object.__setattr__(self, "field_tensor", field_tensor)
 
         # gaussian transfer function of the speckle grain, unit mean power
         kernel = None
@@ -301,11 +289,6 @@ class TokenModel:
                        * (fy[:, None] ** 2 + fx[None, :] ** 2))
             kernel = frozen_array(h / np.sqrt(np.mean(h ** 2)), np.float32)
         object.__setattr__(self, "grain_kernel", kernel)
-
-    @property
-    def field_tensor(self) -> np.ndarray:
-        """The field columns of ``rows`` as a read-only complex64 view."""
-        return self.rows[:, : 2 * self.rows.shape[1] // 3].view(np.complex64)
 
 
 def new_token(token_seed, kind="diffuser", grid_dims=(16, 16), out_dims=(128, 128),
@@ -338,15 +321,15 @@ def _lit_rows(token: TokenModel, challenge) -> np.ndarray:
     return np.flatnonzero(mask)
 
 
-def _lit_sum(token: TokenModel, lit: np.ndarray, power: bool) -> np.ndarray:
-    """Interleaved field sum of the lit rows, then ``sum_r |a_r|^2`` if ``power``.
+def _lit_sum(token: TokenModel, lit: np.ndarray) -> np.ndarray:
+    """Complex64 field sum of the lit rows of ``token.field_tensor``.
 
     Each add is one single-threaded ufunc call that releases the GIL and
-    reads one lit row; the float32 sum equals ``field_tensor[lit].sum(axis=0)``
-    and is returned as it is, for the rest of the capture to stay in single
-    precision.
+    reads one contiguous lit row; the sum equals
+    ``field_tensor[lit].sum(axis=0)`` and is returned as it is, for the rest
+    of the capture to stay in single precision.
     """
-    table = token.rows if power else token.rows[:, : 2 * token.field_tensor.shape[1]]
+    table = token.field_tensor
     acc = np.zeros(table.shape[1], dtype=table.dtype)
     for r in lit:
         acc += table[r]
@@ -360,7 +343,7 @@ def pattern_field(token: TokenModel, challenge: PixelPattern) -> np.ndarray:
     so disjoint masks add: field(a | b) == field(a) + field(b).
     """
     lit = _lit_rows(token, challenge)
-    field = _lit_sum(token, lit, power=False).view(np.complex64).astype(np.complex128)
+    field = _lit_sum(token, lit).astype(np.complex128)
     return field.reshape(token.out_dims)
 
 
@@ -478,14 +461,11 @@ def respond(token: TokenModel, challenge: Challenge, noise: NoiseParams | None =
             bit_depth: int = 8) -> SpeckleImage:
     """Capture the speckle image for a pixel-mask or wavelength challenge.
 
-    Phase drift perturbs the lit source rows before their coherent sum. A
-    wavelength (one row) and masks with fewer than
-    ``_GAUSSIAN_DRIFT_MIN_ROWS`` lit rows draw one phase per row and pixel.
-    Denser masks draw one circular Gaussian per pixel with the same field
-    mean and variance; one pass over the lit rows of ``token.rows`` adds up
-    the field and the powers together, and no unlit row is read. A noiseless
-    mask sums the field columns only. ``_capture`` then scales by the row
-    count (at least 1).
+    A mask sums its lit rows of ``token.field_tensor`` and reads no unlit
+    row; a wavelength is one row. Drift then keeps ``c = exp(-sigma^2 / 2)``
+    of that field and adds one circular Gaussian per camera pixel of power
+    ``(1 - c^2) R`` for ``R`` rows, the decorrelated part of every lit row.
+    ``_capture`` then scales by the row count (at least 1).
     Identical inputs (including noise_seed) give bit-identical images, and
     with all noise magnitudes zero the capture is a pure function of token
     and challenge.
@@ -496,29 +476,17 @@ def respond(token: TokenModel, challenge: Challenge, noise: NoiseParams | None =
         raise ValueError("bit_depth must be in 1..16")
     rng = _noise_rng(noise)
     sigma_phi = noise.phase_sigma_total
-    rows = None
     if isinstance(challenge, Wavelength):
-        n_rows, rows = 1, wavelength_field(token, challenge).reshape(1, -1)
+        n_rows, field = 1, wavelength_field(token, challenge).ravel()
     else:
         lit = _lit_rows(token, challenge)
-        n_rows = lit.size
-        if sigma_phi > 0 and n_rows < _GAUSSIAN_DRIFT_MIN_ROWS:
-            rows = token.field_tensor[lit]
-    if rows is not None:
-        if sigma_phi > 0:
-            phi = np.float32(sigma_phi) * rng.standard_normal(rows.shape, dtype=np.float32)
-            rows = rows * np.exp(np.complex64(1j) * phi)
-        field = rows.sum(axis=0)
-    else:
-        n_out = token.field_tensor.shape[1]
-        sums = _lit_sum(token, lit, power=sigma_phi > 0)
-        field = sums[: 2 * n_out].view(np.complex64)
-        if sigma_phi > 0:
-            c = math.exp(-0.5 * sigma_phi * sigma_phi)
-            # per complex component: half of (1 - c^2) * sum_r |a_r|^2
-            spread = np.sqrt(np.float32(0.5 * (1.0 - c * c)) * sums[2 * n_out :])
-            drift = rng.standard_normal(2 * n_out, dtype=np.float32).view(np.complex64)
-            field = np.float32(c) * field + spread * drift
+        n_rows, field = lit.size, _lit_sum(token, lit)
+    if sigma_phi > 0:
+        c = math.exp(-0.5 * sigma_phi * sigma_phi)
+        # per complex component: half of (1 - c^2) * R
+        spread = np.float32(math.sqrt(0.5 * (1.0 - c * c) * n_rows))
+        drift = rng.standard_normal(2 * field.size, dtype=np.float32).view(np.complex64)
+        field = np.float32(c) * field.astype(np.complex64, copy=False) + spread * drift
     field = field.reshape(token.out_dims)
     return _capture(token, field, max(n_rows, 1), noise, bit_depth, rng)
 

@@ -153,4 +153,4 @@ def test_unclonability_other_tokens_share_reference_geometry(monkeypatch):
         fresh = new_token(other.token_seed, kind="pof", grid_dims=(4, 4), out_dims=(32, 32),
                           wl_decorrelation_length=123.0, speckle_grain=0.0)
         assert other == fresh and hash(other) == hash(fresh)
-        assert np.array_equal(other.rows, fresh.rows)
+        assert np.array_equal(other.field_tensor, fresh.field_tensor)

@@ -15,7 +15,14 @@ import numpy as np
 import pytest
 
 from photonpuf import bch, errors, protocol
-from photonpuf.hashing import BitKey, RbmHelper, hash_apply, helper_to_bytes, rbm_helper
+from photonpuf.hashing import (
+    BitKey,
+    RbmHelper,
+    hash_apply,
+    helper_from_bytes,
+    helper_to_bytes,
+    rbm_helper,
+)
 from photonpuf.protocol import (
     authenticate,
     enroll,
@@ -247,6 +254,19 @@ def test_record_container_errors():
     blob[at:at + 4] = struct.pack("<I", 0x11B)
     with pytest.raises(ValueError):
         record_from_bytes(bytes(blob))
+
+
+def test_repeated_helper_index_fails_to_parse_as_helper_and_record():
+    # a helper that names one bin key_len times would map every capture to one key
+    _, record = enroll(fresh_image(np.random.default_rng(37)), PARAMS15)
+    helper_blob = helper_to_bytes(record.hash_helper)
+    n = record.hash_helper.key_len
+    repeated = helper_blob[: -4 * n] + helper_blob[-4 * n : -4 * (n - 1)] * n
+    assert len(repeated) == len(helper_blob) and repeated != helper_blob
+    with pytest.raises(ValueError, match="distinct"):
+        helper_from_bytes(repeated)
+    with pytest.raises(ValueError, match="distinct"):
+        record_from_bytes(record_to_bytes(record).replace(helper_blob, repeated))
 
 
 def test_record_field_validation():
