@@ -72,7 +72,7 @@ def unclonability(token: TokenModel, challenge, other_token_seeds, noise: NoiseP
     return images
 
 
-@dataclass
+@dataclass(frozen=True)
 class CampaignResult:
     kind: str
     euclidean: metrics.DistanceReport

@@ -7,8 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateImageError
-from .hashing import BitKey, _as_bits
-from .token import SpeckleImage
+from .hashing import _as_bits
 
 __all__ = [
     "euclidean",
@@ -20,10 +19,6 @@ __all__ = [
 
 
 def _as_values(x) -> np.ndarray:
-    if isinstance(x, SpeckleImage):
-        return x.as_float().ravel()
-    if isinstance(x, BitKey):
-        return x.bits.astype(np.float64)
     return np.asarray(x, dtype=np.float64).ravel()
 
 

@@ -45,7 +45,9 @@ from .protocol import (
 )
 from .randomness import extract_bits
 from .token import (
+    Challenge,
     NoiseParams,
+    SpeckleImage,
     TokenModel,
     challenge_from_bytes,
     random_pattern,
@@ -153,7 +155,6 @@ class RecordStore:
             raise KeyError(record_id.hex()) from None
 
 
-
 class PufService:
     """Handles decoded payloads; transport-agnostic and thread-safe."""
 
@@ -176,23 +177,34 @@ class PufService:
             self._tokens[tid] = token
         return tid
 
-    def _fresh_noise(self) -> NoiseParams:
-        return self.noise.with_seed(secrets.randbits(64))
+    def _capture(self, tid: bytes, challenge: Challenge | None) -> SpeckleImage | None:
+        """Capture ``challenge`` on installed token ``tid`` under a fresh CSPRNG noise seed.
 
-    # -- opcode handlers -------------------------------------------------
+        Raises ``KeyError`` for an unknown id and returns ``None`` for no
+        challenge, in that order.
+        """
+        with self._guard:
+            token = self._tokens.get(tid)
+        if token is None:
+            raise KeyError(tid.hex())
+        if challenge is None:
+            return None
+        # respond, like enroll, authenticate and verify below: a module global that
+        # perfbench/tracing.py wraps
+        return respond(token, challenge, noise=self.noise.with_seed(secrets.randbits(64)))
+
+    # -- opcode handlers: each gets a Reader past the opcode byte --------
 
     def handle_payload(self, payload: bytes) -> bytes:
         if not payload:
             return error_payload(ERR_BAD_FRAME, "empty payload")
-        op = payload[0]
-        try:
-            if op == OP_ENROLL:
-                return self._handle_enroll(payload)
-            if op == OP_AUTH:
-                return self._handle_auth(payload)
-            if op == OP_RANDOM:
-                return self._handle_random(payload)
+        r = Reader(payload)
+        op = r.unpack("B")
+        handler = self._HANDLERS.get(op)
+        if handler is None:
             return error_payload(ERR_BAD_FRAME, f"unknown opcode 0x{op:02x}")
+        try:
+            return handler(self, r)
         except KeyError as exc:
             return error_payload(ERR_NOT_FOUND, f"unknown id {exc.args[0]}")
         except ValueError as exc:
@@ -201,43 +213,27 @@ class PufService:
             _log.exception("internal error in op 0x%02x: %s", op, type(exc).__name__)
             return error_payload(ERR_INTERNAL, "internal error")
 
-    def _handle_enroll(self, payload: bytes) -> bytes:
-        r = Reader(payload)
-        r.unpack("B")
+    def _handle_enroll(self, r: Reader) -> bytes:
         tid = r.take(16)
-        blob_len = r.unpack("I")
-        challenge = challenge_from_bytes(r.take(blob_len))
+        challenge = challenge_from_bytes(r.take(r.unpack("I")))
         if challenge is None:
             raise ValueError("enroll needs a challenge descriptor")
-        with self._guard:
-            token = self._tokens.get(tid)
-        if token is None:
-            raise KeyError(tid.hex())
-        image = respond(token, challenge, noise=self._fresh_noise())
+        image = self._capture(tid, challenge)
         _, record = enroll(image, self.bch_params, token_id=tid, challenge=challenge)
         self.store.save(record)
         return bytes([OP_RESULT, OP_ENROLL]) + record.record_id + record.key_digest
 
-    def _handle_auth(self, payload: bytes) -> bytes:
-        r = Reader(payload)
-        r.unpack("B")
-        rid = r.take(16)
-        record = self.store.load(rid)
-        with self._guard:
-            token = self._tokens.get(record.token_id)
-        if token is None:
-            raise KeyError(record.token_id.hex())
-        if record.challenge is None:
+    def _handle_auth(self, r: Reader) -> bytes:
+        record = self.store.load(r.take(16))
+        image = self._capture(record.token_id, record.challenge)
+        if image is None:
             return error_payload(ERR_INTERNAL, "record carries no challenge descriptor")
-        image = respond(token, record.challenge, noise=self._fresh_noise())
         outcome = authenticate(image, record)
         accepted = outcome is not None and verify(outcome[0], record)
         corrected = outcome[1] if outcome is not None else 0
         return bytes([OP_RESULT, OP_AUTH, 1 if accepted else 0]) + le("H", corrected)
 
-    def _handle_random(self, payload: bytes) -> bytes:
-        r = Reader(payload)
-        r.unpack("B")
+    def _handle_random(self, r: Reader) -> bytes:
         n_bits = r.unpack("I")
         with self._guard:
             if not self._tokens:
@@ -245,6 +241,8 @@ class PufService:
             token = self._tokens[min(self._tokens)]
         bits = random_bits(token, n_bits, self.noise)
         return bytes([OP_RESULT, OP_RANDOM]) + BitKey(bits).to_bytes()
+
+    _HANDLERS = {OP_ENROLL: _handle_enroll, OP_AUTH: _handle_auth, OP_RANDOM: _handle_random}
 
 
 def random_bits(token: TokenModel, n_bits: int, noise: NoiseParams) -> np.ndarray:

@@ -152,10 +152,9 @@ Challenge = PixelPattern | Wavelength
 
 @dataclass(frozen=True, eq=False)
 class SpeckleImage:
-    """Quantized camera frame."""
+    """Quantized camera frame: uint8 up to 8 bits per pixel, uint16 above."""
 
     pixels: np.ndarray
-    bit_depth: int = 8
 
     def __post_init__(self):
         px = frozen_array(self.pixels)
@@ -275,8 +274,10 @@ class TokenModel:
         )
         field_tensor = np.empty((n_grid, n_out), dtype=np.complex64)
         for part in (field_tensor.real, field_tensor.imag):
-            # float64 draws scaled in float64, rounded once to float32
-            np.divide(rng.standard_normal((n_grid, n_out)), np.sqrt(2.0), out=part)
+            # float64 draws scaled in float64, rounded once to float32; a row at a
+            # time reads the same stream and holds no float64 copy of the part
+            for row in part:
+                np.divide(rng.standard_normal(n_out), np.sqrt(2.0), out=row)
         field_tensor.flags.writeable = False
         object.__setattr__(self, "field_tensor", field_tensor)
 
@@ -313,12 +314,13 @@ def token_id(token: TokenModel) -> bytes:
 # ----------------------------------------------------------------------
 # responses
 
-def _lit_rows(token: TokenModel, challenge) -> np.ndarray:
+def _lit_rows(token: TokenModel, challenge: PixelPattern) -> np.ndarray:
     """Indices of the modulator pixels, hence table rows, a pixel mask lights."""
-    mask = challenge.mask if isinstance(challenge, PixelPattern) else PixelPattern(challenge).mask
-    if mask.shape != token.grid_dims:
-        raise ValueError(f"mask shape {mask.shape} does not match grid {token.grid_dims}")
-    return np.flatnonzero(mask)
+    if not isinstance(challenge, PixelPattern):
+        raise TypeError(f"not a pixel challenge: {challenge!r}")
+    if challenge.mask.shape != token.grid_dims:
+        raise ValueError(f"mask shape {challenge.mask.shape} does not match grid {token.grid_dims}")
+    return np.flatnonzero(challenge.mask)
 
 
 def _lit_sum(token: TokenModel, lit: np.ndarray) -> np.ndarray:
@@ -380,7 +382,7 @@ def wavelength_field(token: TokenModel, challenge: Wavelength) -> np.ndarray:
     covariance, and revisiting a point reproduces the same field.
     """
     if not isinstance(challenge, Wavelength):
-        challenge = Wavelength(float(challenge))
+        raise TypeError(f"not a wavelength challenge: {challenge!r}")
     lo_nm, hi_nm = TUNING_RANGE_NM
     length = token.wl_decorrelation_length
     steps = 1 << _bridge_levels(length)
@@ -423,7 +425,7 @@ def _translate(img: np.ndarray, dr: float, dc: float) -> np.ndarray:
 
 def _capture(token: TokenModel, field: np.ndarray, mean_intensity: float,
              noise: NoiseParams, bit_depth: int, rng) -> SpeckleImage:
-    """Shared back end: grain, intensity, additive noise, quantization.
+    """Capture tail of ``respond``: grain, intensity, additive noise, quantization.
 
     The field is cast to complex64 once, and every step after it runs in
     single precision. The grain filter goes through ``scipy.fft``, which
@@ -450,7 +452,7 @@ def _capture(token: TokenModel, field: np.ndarray, mean_intensity: float,
             img.shape, dtype=np.float32)
     px = np.clip(np.floor(img + np.float32(0.5)), 0, qmax)
     dtype = np.uint8 if bit_depth <= 8 else np.uint16
-    return SpeckleImage(px.astype(dtype), bit_depth=bit_depth)
+    return SpeckleImage(px.astype(dtype))
 
 
 def _noise_rng(noise: NoiseParams):
@@ -465,7 +467,8 @@ def respond(token: TokenModel, challenge: Challenge, noise: NoiseParams | None =
     row; a wavelength is one row. Drift then keeps ``c = exp(-sigma^2 / 2)``
     of that field and adds one circular Gaussian per camera pixel of power
     ``(1 - c^2) R`` for ``R`` rows, the decorrelated part of every lit row.
-    ``_capture`` then scales by the row count (at least 1).
+    ``_capture`` then scales by the row count (at least 1) and quantizes to
+    ``bit_depth`` bits (1..16): uint8 pixels up to 8 bits, uint16 above.
     Identical inputs (including noise_seed) give bit-identical images, and
     with all noise magnitudes zero the capture is a pure function of token
     and challenge.
@@ -578,8 +581,6 @@ def challenge_from_bytes(data: bytes) -> Challenge | None:
 
 def save_pgm(image: SpeckleImage | np.ndarray, path):
     px = image.pixels if isinstance(image, SpeckleImage) else np.asarray(image)
-    if isinstance(image, SpeckleImage) and image.bit_depth > 8:
-        raise ValueError("PGM export supports bit depths up to 8")
     if px.ndim != 2 or px.dtype != np.uint8:
         raise ValueError("PGM export needs a 2-D uint8 image")
     rows, cols = px.shape
@@ -622,4 +623,4 @@ def load_pgm(path) -> SpeckleImage:
     if len(raw) < rows * cols:
         raise TruncatedError("PGM pixel data truncated")
     px = np.frombuffer(raw, dtype=np.uint8).reshape(rows, cols).copy()
-    return SpeckleImage(px, bit_depth=8)
+    return SpeckleImage(px)

@@ -446,6 +446,13 @@ def test_params_truncated():
         bch.params_from_bytes(blob[:-2])
 
 
+def test_params_generator_must_match_construction():
+    blob = bytearray(bch.params_to_bytes(bch.bch_new(8, 4)))
+    blob[17] ^= 0x02                        # x^1 of the generator, after the bit count
+    with pytest.raises(ValueError, match="stored generator"):
+        bch.params_from_bytes(bytes(blob))
+
+
 @pytest.mark.parametrize("prim", [3, 0, 0x11D | 1 << 20, 0x11B])
 def test_params_non_primitive_polynomial_rejected(prim):
     # a stored polynomial that is not primitive of degree m must fail as a

@@ -501,4 +501,4 @@ def test_serve_subprocess_roundtrip(workdir, tmp_path):
         assert (tmp_path / "store").is_dir()
     finally:
         proc.terminate()
-        proc.wait(timeout=5)
+        proc.communicate(timeout=5)         # reaps the server and closes both pipes

@@ -50,9 +50,6 @@ from photonpuf.randomness import extract_bits
 from photonpuf.token import NoiseParams, challenge_to_bytes, new_token, random_pattern, respond
 from photonpuf._binio import le
 
-pytestmark = pytest.mark.filterwarnings("ignore::pytest.PytestUnraisableExceptionWarning")
-
-
 def stored_files(directory):
     return sorted(os.listdir(directory))
 
@@ -344,6 +341,19 @@ def test_unknown_ids_not_found(tmp_path):
     assert parse_error(bad_token)[0] == ERR_NOT_FOUND
     bad_record = service.handle_payload(bytes([OP_AUTH]) + b"\xbb" * 16)
     assert parse_error(bad_record) == (ERR_NOT_FOUND, "unknown id " + "bb" * 16)
+
+
+@pytest.mark.parametrize("installed, challenge, expected", [
+    (False, random_pattern((8, 8), 3), (ERR_NOT_FOUND, "unknown id " + "cc" * 16)),
+    (True, None, (ERR_INTERNAL, "record carries no challenge descriptor")),
+    (False, None, (ERR_NOT_FOUND, "unknown id " + "cc" * 16)),   # the token is checked first
+], ids=["token-not-installed", "no-challenge", "neither"])
+def test_stored_record_the_service_cannot_recapture(tmp_path, installed, challenge, expected):
+    service, tid = make_service(tmp_path)
+    _, record = enroll(np.random.default_rng(0).exponential(size=(16, 16)), service.bch_params,
+                       token_id=tid if installed else b"\xcc" * 16, challenge=challenge)
+    service.store.save(record)
+    assert parse_error(service.handle_payload(bytes([OP_AUTH]) + record.record_id)) == expected
 
 
 def test_stored_record_of_unknown_digest_algo_refused_before_capture(tmp_path, monkeypatch):

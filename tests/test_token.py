@@ -12,6 +12,7 @@ import math
 import struct
 import sys
 import threading
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -121,6 +122,30 @@ def test_rows_are_the_float64_draw_rounded_once():
 
 def test_default_token_table_is_32_mib():
     assert tok.new_token(1).field_tensor.nbytes == 32 * 2 ** 20
+
+
+def test_token_build_holds_no_second_copy_of_the_table():
+    # the float64 draws come one row at a time, so building a default token
+    # peaks near its table's bytes, not at twice them
+    tracemalloc.start()
+    try:
+        t = tok.new_token(1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * t.field_tensor.nbytes
+
+
+@pytest.mark.parametrize("args, match", [
+    ((1, "prism", (2, 2), (4, 4)), "kind"),
+    ((2 ** 64, "diffuser", (2, 2), (4, 4)), "64 bits"),
+    ((-1, "diffuser", (2, 2), (4, 4)), "64 bits"),
+    ((1, "diffuser", (0, 2), (4, 4)), "positive"),
+    ((1, "diffuser", (2, 2), (4, 0)), "positive"),
+])
+def test_token_descriptor_rejected(args, match):
+    with pytest.raises(ValueError, match=match):
+        tok.TokenModel(*args, 2000.0, 0.0)
 
 
 def test_single_precision_field_sum_is_close_to_double():
@@ -265,12 +290,14 @@ def test_capture_scaling_leaves_headroom():
     assert (arr == 255).mean() < 0.03
 
 
-def test_bit_depth_controls_range():
+def test_bit_depth_controls_range(tmp_path):
     t = make_token(seed=4)
     img = tok.respond(t, tok.random_pattern(t.grid_dims, 5),
                       noise=tok.NoiseParams.none(), bit_depth=12)
     assert img.pixels.dtype == np.uint16
     assert img.pixels.max() <= 4095
+    with pytest.raises(ValueError, match="uint8"):
+        tok.save_pgm(img, tmp_path / "deep.pgm")      # PGM export holds one byte per sample
     with pytest.raises(ValueError):
         tok.respond(t, tok.random_pattern(t.grid_dims, 5), bit_depth=0)
     with pytest.raises(ValueError):
@@ -474,6 +501,24 @@ def test_mask_shape_must_match_grid():
     t = make_token()
     with pytest.raises(ValueError):
         tok.respond(t, tok.PixelPattern(np.ones((4, 4), dtype=np.uint8)))
+
+
+@pytest.mark.parametrize("mask, match", [
+    (np.ones((2, 4, 4), dtype=np.uint8), "2-D"),
+    (np.full((8, 8), 2, dtype=np.uint8), "binary"),
+])
+def test_pixel_pattern_rejects_malformed_masks(mask, match):
+    with pytest.raises(ValueError, match=match):
+        tok.PixelPattern(mask)
+
+
+@pytest.mark.parametrize("query", [tok.respond, tok.pattern_field, tok.wavelength_field])
+@pytest.mark.parametrize("challenge", [np.ones((8, 8), dtype=np.uint8), 1550.0],
+                         ids=["raw-mask", "bare-float"])
+def test_queries_take_only_challenge_objects(query, challenge):
+    # a raw mask or a bare wavelength is refused, not wrapped
+    with pytest.raises(TypeError, match="not a"):
+        query(make_token(), challenge)
 
 
 def test_dense_capture_reads_only_lit_rows():
@@ -690,6 +735,13 @@ def test_pgm_errors(tmp_path):
         tok.load_pgm(path)
     path.write_bytes(b"P5 3 2 255\n" + bytes(4))
     with pytest.raises(errors.TruncatedError):
+        tok.load_pgm(path)
+    for maxval in (0, 256):
+        path.write_bytes(b"P5 3 2 %d\n" % maxval + bytes(6))
+        with pytest.raises(errors.FormatError, match="maxval"):
+            tok.load_pgm(path)
+    path.write_bytes(b"P5 3 2")                   # no maxval
+    with pytest.raises(errors.TruncatedError, match="header"):
         tok.load_pgm(path)
 
 
