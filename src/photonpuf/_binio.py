@@ -1,8 +1,8 @@
 """Small helpers for the fixed little-endian binary containers.
 
 Every on-disk artifact in this package starts with a 4 byte magic string and is
-parsed through :class:`Reader` so that bad magic, unknown versions and short
-reads surface as distinct exceptions.
+parsed through :class:`Reader` so that bad magic, unknown versions, short
+reads and trailing bytes surface as distinct exceptions.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import struct
 
 import numpy as np
 
-from .errors import BadMagicError, TruncatedError, UnsupportedVersionError
+from .errors import BadMagicError, FormatError, TruncatedError, UnsupportedVersionError
 
 
 def pack_bits(bits) -> bytes:
@@ -69,6 +69,11 @@ class Reader:
         if version != supported:
             raise UnsupportedVersionError(f"{what} container version {version} not supported")
         return version
+
+    def expect_end(self, what: str):
+        extra = len(self._data) - self._pos
+        if extra:
+            raise FormatError(f"{extra} trailing bytes after the {what}")
 
 
 def le(fmt: str, *vals) -> bytes:

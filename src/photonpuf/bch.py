@@ -381,6 +381,7 @@ def params_from_bytes(data: bytes) -> BchParams:
     n_bits = r.unpack("I")
     # bits past n_bits in the last byte are padding and ignored
     gen = int.from_bytes(r.take(packed_size(n_bits)), "little") & ((1 << n_bits) - 1)
+    r.expect_end("BCH parameters")
     params = bch_new(m, t, primitive_poly=prim)
     if params.generator_poly != gen:
         raise ValueError("stored generator does not match construction")

@@ -11,10 +11,11 @@ canonical dataset shapes and returns its captures, reference first:
 
 Capture i uses noise seed ``noise.noise_seed + i``. ``score`` compares the
 reference with every later capture, mirroring how authentication compares
-field captures to the enrolled key. When a hash helper is supplied (one drawn
-for the token's camera geometry, for example with ``hashing.rbm_helper``),
-every capture is hashed with it and a Hamming report sits next to the
-Euclidean and correlation ones.
+field captures to the enrolled key, and returns a plain mapping from metric
+name to ``metrics.DistanceReport``: ``"euclidean"`` and ``"correlation"``
+always, and ``"hamming"`` when a hash helper is supplied (one drawn for the
+token's camera geometry, for example with ``hashing.rbm_helper``); every
+capture is then hashed with it.
 
 ``success_curve`` turns the Hamming distances between enrollment and
 authentication keys into the probability that a code correcting t errors
@@ -23,7 +24,7 @@ accepts, for every t.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
@@ -32,7 +33,6 @@ from .hashing import hash_apply
 from .token import NoiseParams, TokenModel, respond
 
 __all__ = [
-    "CampaignResult",
     "robustness",
     "score",
     "success_curve",
@@ -72,32 +72,23 @@ def unclonability(token: TokenModel, challenge, other_token_seeds, noise: NoiseP
     return images
 
 
-@dataclass(frozen=True)
-class CampaignResult:
-    kind: str
-    euclidean: metrics.DistanceReport
-    correlation: metrics.DistanceReport
-    hash_hamming: metrics.DistanceReport | None = None
-
-
-def score(kind: str, images, helper=None) -> CampaignResult:
-    """Distances from ``images[0]`` to every later capture; ``kind`` labels the reports."""
+def score(kind: str, images, helper=None) -> dict[str, metrics.DistanceReport]:
+    """Distances from ``images[0]`` to every later capture by metric; ``kind`` labels the reports."""
     ref, *rest = [img.as_float() for img in images]
-    ed = [metrics.euclidean(ref, img) for img in rest]
-    cc = [metrics.cross_correlation(ref, img) for img in rest]
 
-    hd_report = None
+    def report(metric, values):
+        return metrics.DistanceReport.from_values(values, kind=kind, metric=metric)
+
+    reports = {
+        "euclidean": report("euclidean", [metrics.euclidean(ref, img) for img in rest]),
+        "correlation": report("cross_correlation",
+                              [metrics.cross_correlation(ref, img) for img in rest]),
+    }
     if helper is not None:
         ref_key, *keys = [hash_apply(img, helper) for img in images]
-        hd = [metrics.fractional_hamming(ref_key, key) for key in keys]
-        hd_report = metrics.DistanceReport.from_values(hd, kind=kind, metric="fractional_hamming")
-
-    return CampaignResult(
-        kind=kind,
-        euclidean=metrics.DistanceReport.from_values(ed, kind=kind, metric="euclidean"),
-        correlation=metrics.DistanceReport.from_values(cc, kind=kind, metric="cross_correlation"),
-        hash_hamming=hd_report,
-    )
+        reports["hamming"] = report("fractional_hamming",
+                                    [metrics.fractional_hamming(ref_key, key) for key in keys])
+    return reports
 
 
 def success_curve(distances, key_len: int) -> np.ndarray:

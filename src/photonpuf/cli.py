@@ -20,7 +20,7 @@ from .campaign import robustness, score, success_curve, unclonability, unpredict
 from .hashing import BitKey, hash_apply, rbm_helper
 from .metrics import hamming
 from .protocol import authenticate, enroll, load_record, save_record, verify
-from .randomness import ALL_TESTS, nist_test, suite_report
+from .randomness import battery, suite_report
 from .service import DEFAULT_FRAME_TIMEOUT, PufServer, PufService, RecordStore, random_bits
 from .token import (
     DEFAULT_GRAIN_PX,
@@ -243,18 +243,15 @@ def _cmd_eval_distances(args) -> int:
     token = load_token(args.token)
     # mapping seed 0: every eval of one token hashes with the same mapping
     helper = None if args.no_hash else rbm_helper(token.out_dims, args.key_len, 0)
-    result = score(args.action, args.capture(args, token, _noise_from_args(args)), helper)
+    reports = score(args.action, args.capture(args, token, _noise_from_args(args)), helper)
 
-    pairs = [("kind", result.kind), ("pairs", result.euclidean.count)]
-    reports = [("euclidean", result.euclidean), ("correlation", result.correlation)]
-    if result.hash_hamming is not None:
-        reports.append(("hamming", result.hash_hamming))
-    for name, report in reports:
+    pairs = [("kind", args.action), ("pairs", reports["euclidean"].count)]
+    for name, report in reports.items():
         short = {"euclidean": "ed", "correlation": "cc", "hamming": "hd"}[name]
         pairs.append((f"{short}_mean", report.mean))
         pairs.append((f"{short}_std", report.std))
     if args.report:
-        for name, report in reports:
+        for name, report in reports.items():
             path = f"{args.report}.{name}.tsv"
             report.save_tsv(path)
             pairs.append((f"report_{name}", path))
@@ -316,24 +313,21 @@ def _cmd_rng_test(args) -> int:
         with open(path, "rb") as fh:
             streams.append(BitKey.from_bytes(fh.read()))
     if len(streams) == 1:
-        ok = True
-        rows = []
-        for name in ALL_TESTS:
-            result = nist_test(streams[0], name)
-            ok &= result.passed(args.alpha)
-            for label, p in result.sub_results:
-                rows.append((label, p))
-        for label, p in rows:
-            _emit((f"p_{label}", p))
+        results = battery(streams[0])
+        for p_values in results.values():
+            for label, p in p_values.items():
+                _emit((f"p_{label}", p))
+        ok = all(p >= args.alpha for p_values in results.values() for p in p_values.values())
         _emit(("passed", ok))
         return 0 if ok else 1
     report = suite_report(streams, alpha=args.alpha)
-    for row in report.rows:
+    lo, hi = report.proportion_band
+    for name, row in report.rows.items():
         _emit(
-            (f"{row.test}_proportion", row.proportion),
-            (f"{row.test}_band", f"{row.proportion_band[0]:.4f}..{row.proportion_band[1]:.4f}"),
-            (f"{row.test}_uniformity", row.uniformity_p),
-            (f"{row.test}_pass", row.proportion_ok and row.uniformity_ok),
+            (f"{name}_proportion", row.proportion),
+            (f"{name}_band", f"{lo:.4f}..{hi:.4f}"),
+            (f"{name}_uniformity", row.uniformity_p),
+            (f"{name}_pass", row.proportion_ok and row.uniformity_ok),
         )
     _emit(("streams", report.n_streams), ("passed", report.passed))
     return 0 if report.passed else 1

@@ -114,7 +114,9 @@ class BitKey:
     def from_bytes(cls, data: bytes) -> "BitKey":
         r = Reader(data)
         n = r.unpack("I")
-        return cls(unpack_bits(r.take(packed_size(n)), n))
+        bits = unpack_bits(r.take(packed_size(n)), n)
+        r.expect_end("bit string")
+        return cls(bits)
 
 
 # ----------------------------------------------------------------------
@@ -237,4 +239,5 @@ def helper_from_bytes(data: bytes) -> RbmHelper:
     sign_bits = unpack_bits(r.take(packed_size(n)), n)
     signs = (sign_bits.astype(np.int8) * 2 - 1).astype(np.int8)
     indices = np.frombuffer(r.take(4 * key_len), dtype="<u4")
+    r.expect_end("hash helper")
     return RbmHelper(signs, indices, dims)

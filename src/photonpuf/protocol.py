@@ -185,6 +185,7 @@ def record_from_bytes(data: bytes) -> EnrollmentRecord:
     code_offset = unpack_bits(r.take(packed_size(n_bits)), n_bits)
     digest_algo = r.unpack("B")
     digest = r.take(32)
+    r.expect_end("enrollment record")
     return EnrollmentRecord(
         record_id=record_id,
         token_id=token_id,

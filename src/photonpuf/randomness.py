@@ -3,11 +3,14 @@
 ``extract_bits`` applies the keyed hash's random binary mapping, drawn from
 one fixed public seed, to a sequence of speckle images and concatenates the
 per-image outputs in order, giving device-derived bitstreams. The battery
-is the classic subset of eight statistical tests used for desk-scale PRNG
+is the classic subset of eight NIST SP 800-22 tests used for desk-scale PRNG
 qualification: frequency, block frequency, cumulative sums, runs, longest
-run of ones, spectral, approximate entropy, and serial. Each returns the
-standard p-value(s); a suite report aggregates many streams into pass
-proportions plus a p-value uniformity check per test.
+run of ones, spectral, approximate entropy, and serial. Each test returns a
+plain mapping from sub-test label to p-value, for example
+``{"serial_1": p1, "serial_2": p2}``; a stream passes a test when every
+p-value is at least alpha. ``battery`` runs all eight and maps each test
+name to its mapping. ``suite_report`` aggregates many streams into pass
+proportions plus a p-value uniformity check, in a row per test name.
 
 The randomness comes from the captures: ``service.random_bits``, behind both
 ``OP_RANDOM`` and ``photonpuf rng extract``, lights a fresh random pattern
@@ -25,13 +28,11 @@ from scipy.special import erfc, gammaincc, ndtr
 from .hashing import BitKey, _as_bits, _as_pixels, rbm_helper, rbm_project
 
 __all__ = [
+    "battery",
     "extract_bits",
-    "nist_test",
+    "pvalue_uniformity",
     "suite_report",
     "SuiteReport",
-    "TestResult",
-    "ALL_TESTS",
-    "pvalue_uniformity",
 ]
 
 ALPHA = 0.01
@@ -60,22 +61,10 @@ def extract_bits(images, bits_per_image: int) -> BitKey:
 
 
 # ----------------------------------------------------------------------
-# individual tests
-
-@dataclass(frozen=True)
-class TestResult:
-    name: str
-    sub_results: tuple  # ((label, p_value), ...)
-
-    @property
-    def p_value(self) -> float:
-        return min(p for _, p in self.sub_results)
-
-    def passed(self, alpha: float = ALPHA) -> bool:
-        return all(p >= alpha for _, p in self.sub_results)
+# individual tests: each maps its sub-test labels to p-values
 
 
-def frequency(stream) -> TestResult:
+def frequency(stream) -> dict[str, float]:
     """Monobit test: the +-1 sum should be near zero."""
     b = _as_bits(stream)
     n = b.size
@@ -83,10 +72,10 @@ def frequency(stream) -> TestResult:
         raise ValueError("frequency test needs at least 100 bits")
     s = 2.0 * int(b.sum()) - n
     p = erfc(abs(s) / math.sqrt(n) / math.sqrt(2.0))
-    return TestResult("frequency", (("frequency", float(p)),))
+    return {"frequency": float(p)}
 
 
-def block_frequency(stream, block_len: int | None = None) -> TestResult:
+def block_frequency(stream, block_len: int | None = None) -> dict[str, float]:
     b = _as_bits(stream)
     n = b.size
     if block_len is None:
@@ -98,12 +87,11 @@ def block_frequency(stream, block_len: int | None = None) -> TestResult:
     pi = blocks.mean(axis=1)
     chi2 = 4.0 * block_len * float(((pi - 0.5) ** 2).sum())
     p = gammaincc(n_blocks / 2.0, chi2 / 2.0)
-    return TestResult("block_frequency", (("block_frequency", float(p)),))
+    return {"block_frequency": float(p)}
 
 
 def _cusum_p(z: int, n: int) -> float:
-    if z == 0:
-        return 0.0
+    # z >= 1: a +-1 walk of n >= 100 steps leaves zero
     sn = math.sqrt(n)
     k1 = np.arange(math.floor((-n / z + 1) / 4), math.floor((n / z - 1) / 4) + 1)
     k2 = np.arange(math.floor((-n / z - 3) / 4), math.floor((n / z - 1) / 4) + 1)
@@ -112,7 +100,7 @@ def _cusum_p(z: int, n: int) -> float:
     return float(np.clip(1.0 - t1 + t2, 0.0, 1.0))
 
 
-def cumulative_sums(stream) -> TestResult:
+def cumulative_sums(stream) -> dict[str, float]:
     """Random-walk excursions, scanned forward and backward."""
     b = _as_bits(stream)
     n = b.size
@@ -121,27 +109,24 @@ def cumulative_sums(stream) -> TestResult:
     x = 2.0 * b - 1.0
     z_fwd = int(np.abs(np.cumsum(x)).max())
     z_bwd = int(np.abs(np.cumsum(x[::-1])).max())
-    return TestResult(
-        "cumulative_sums",
-        (
-            ("cumulative_sums_forward", _cusum_p(z_fwd, n)),
-            ("cumulative_sums_backward", _cusum_p(z_bwd, n)),
-        ),
-    )
+    return {
+        "cumulative_sums_forward": _cusum_p(z_fwd, n),
+        "cumulative_sums_backward": _cusum_p(z_bwd, n),
+    }
 
 
-def runs(stream) -> TestResult:
+def runs(stream) -> dict[str, float]:
     b = _as_bits(stream)
     n = b.size
     if n < 100:
         raise ValueError("runs test needs at least 100 bits")
     pi = float(b.mean())
     if abs(pi - 0.5) >= 2.0 / math.sqrt(n):
-        return TestResult("runs", (("runs", 0.0),))
+        return {"runs": 0.0}
     v = 1 + int(np.count_nonzero(np.diff(b)))
     num = abs(v - 2.0 * n * pi * (1.0 - pi))
     den = 2.0 * math.sqrt(2.0 * n) * pi * (1.0 - pi)
-    return TestResult("runs", (("runs", float(erfc(num / den)),),))
+    return {"runs": float(erfc(num / den))}
 
 
 _LONGEST_RUN_TIERS = (
@@ -165,7 +150,7 @@ def _longest_one_run(row: np.ndarray) -> int:
     return int((ends - starts).max())
 
 
-def longest_run(stream) -> TestResult:
+def longest_run(stream) -> dict[str, float]:
     b = _as_bits(stream)
     n = b.size
     if n < 128:
@@ -184,10 +169,10 @@ def longest_run(stream) -> TestResult:
     expected = n_blocks * np.asarray(ref)
     chi2 = float(((counts - expected) ** 2 / expected).sum())
     p = gammaincc((len(cats) - 1) / 2.0, chi2 / 2.0)
-    return TestResult("longest_run", (("longest_run", float(p)),))
+    return {"longest_run": float(p)}
 
 
-def fft_spectral(stream) -> TestResult:
+def fft_spectral(stream) -> dict[str, float]:
     """Peak density below the 95% threshold of the half spectrum."""
     b = _as_bits(stream)
     n = b.size
@@ -200,7 +185,7 @@ def fft_spectral(stream) -> TestResult:
     n1 = int((mods < threshold).sum())
     d = (n1 - n0) / math.sqrt(n * 0.95 * 0.05 / 4.0)
     p = erfc(abs(d) / math.sqrt(2.0))
-    return TestResult("fft", (("fft", float(p)),))
+    return {"fft": float(p)}
 
 
 def _pattern_counts(b: np.ndarray, m: int) -> np.ndarray:
@@ -213,12 +198,13 @@ def _pattern_counts(b: np.ndarray, m: int) -> np.ndarray:
     return np.bincount(idx, minlength=1 << m)
 
 
-def approximate_entropy(stream, m: int = 4) -> TestResult:
+def approximate_entropy(stream, m: int = 4) -> dict[str, float]:
     b = _as_bits(stream)
     n = b.size
     if n < 100:
         raise ValueError("approximate entropy test needs at least 100 bits")
-    if not 1 <= m <= int(math.log2(n)) - 5:
+    # SP 800-22 section 2.12.7: m < floor(log2 n) - 5
+    if not 1 <= m < n.bit_length() - 6:
         raise ValueError(f"block length m={m} too large for n={n}")
 
     def phi(mm: int) -> float:
@@ -229,20 +215,19 @@ def approximate_entropy(stream, m: int = 4) -> TestResult:
     apen = phi(m) - phi(m + 1)
     chi2 = 2.0 * n * (math.log(2.0) - apen)
     p = gammaincc(1 << (m - 1), chi2 / 2.0)
-    return TestResult("approximate_entropy", (("approximate_entropy", float(p)),))
+    return {"approximate_entropy": float(p)}
 
 
-def serial(stream, m: int = 5) -> TestResult:
+def serial(stream, m: int = 5) -> dict[str, float]:
     b = _as_bits(stream)
     n = b.size
     if n < 100:
         raise ValueError("serial test needs at least 100 bits")
-    if m < 3:
-        raise ValueError("serial test needs m >= 3")
+    # SP 800-22 section 2.11.7: m < floor(log2 n) - 2
+    if not 3 <= m < n.bit_length() - 3:
+        raise ValueError(f"serial test needs 3 <= m < floor(log2 n) - 2, got m={m} for n={n}")
 
     def psi2(mm: int) -> float:
-        if mm <= 0:
-            return 0.0
         c = _pattern_counts(b, mm).astype(np.float64)
         return float((1 << mm) / n * (c * c).sum() - n)
 
@@ -250,7 +235,7 @@ def serial(stream, m: int = 5) -> TestResult:
     d2 = psi2(m) - 2.0 * psi2(m - 1) + psi2(m - 2)
     p1 = gammaincc(1 << (m - 2), d1 / 2.0)
     p2 = gammaincc(1 << (m - 3), d2 / 2.0)
-    return TestResult("serial", (("serial_1", float(p1)), ("serial_2", float(p2))))
+    return {"serial_1": float(p1), "serial_2": float(p2)}
 
 
 _TESTS = {
@@ -263,14 +248,11 @@ _TESTS = {
     "approximate_entropy": approximate_entropy,
     "serial": serial,
 }
-ALL_TESTS = tuple(_TESTS)
 
 
-def nist_test(stream, name: str, **params) -> TestResult:
-    """Run one named test; see ALL_TESTS for the battery."""
-    if name not in _TESTS:
-        raise ValueError(f"unknown test {name!r}, pick from {ALL_TESTS}")
-    return _TESTS[name](stream, **params)
+def battery(stream) -> dict[str, dict[str, float]]:
+    """Every test at its default parameters: test name -> {sub-test label: p-value}."""
+    return {name: test(stream) for name, test in _TESTS.items()}
 
 
 # ----------------------------------------------------------------------
@@ -290,9 +272,7 @@ def pvalue_uniformity(p_values) -> float:
 
 @dataclass(frozen=True)
 class SuiteRow:
-    test: str
     proportion: float
-    proportion_band: tuple
     proportion_ok: bool
     uniformity_p: float
     uniformity_ok: bool
@@ -300,50 +280,39 @@ class SuiteRow:
 
 @dataclass(frozen=True)
 class SuiteReport:
-    rows: tuple
+    rows: dict  # test name -> SuiteRow, in battery order
     n_streams: int
-    alpha: float
+    proportion_band: tuple
 
     @property
     def passed(self) -> bool:
-        return all(r.proportion_ok and r.uniformity_ok for r in self.rows)
+        return all(r.proportion_ok and r.uniformity_ok for r in self.rows.values())
 
 
 def suite_report(streams, alpha: float = ALPHA) -> SuiteReport:
     """Aggregate the battery over many streams.
 
-    For every test the worst sub-part is reported: pass proportion with its
-    three-sigma acceptance band, and the p-value uniformity statistic.
+    For every test the worst sub-test is reported: its pass proportion,
+    checked against the three-sigma acceptance band, and its p-value
+    uniformity statistic.
     """
     streams = list(streams)
     s = len(streams)
     if s < 2:
         raise ValueError("need at least two streams")
-    per_part: dict[str, dict[str, list]] = {name: {} for name in ALL_TESTS}
-    for stream in streams:
-        for name in ALL_TESTS:
-            result = nist_test(stream, name)
-            for label, p in result.sub_results:
-                per_part[name].setdefault(label, []).append(p)
-
+    results = [battery(stream) for stream in streams]
     p_hat = 1.0 - alpha
     margin = 3.0 * math.sqrt(p_hat * alpha / s)
     band = (p_hat - margin, min(1.0, p_hat + margin))
-    rows = []
-    for name in ALL_TESTS:
-        worst_prop, worst_unif = 1.0, 1.0
-        for label, ps in per_part[name].items():
-            ps_arr = np.asarray(ps)
-            worst_prop = min(worst_prop, float((ps_arr >= alpha).mean()))
-            worst_unif = min(worst_unif, pvalue_uniformity(ps_arr))
-        rows.append(
-            SuiteRow(
-                test=name,
-                proportion=worst_prop,
-                proportion_band=band,
-                proportion_ok=band[0] <= worst_prop <= band[1],
-                uniformity_p=worst_unif,
-                uniformity_ok=worst_unif >= UNIFORMITY_FLOOR,
-            )
+    rows = {}
+    for name, labels in results[0].items():
+        per_label = [np.array([r[name][label] for r in results]) for label in labels]
+        proportion = min(float((ps >= alpha).mean()) for ps in per_label)
+        uniformity = min(pvalue_uniformity(ps) for ps in per_label)
+        rows[name] = SuiteRow(
+            proportion=proportion,
+            proportion_ok=band[0] <= proportion <= band[1],
+            uniformity_p=uniformity,
+            uniformity_ok=uniformity >= UNIFORMITY_FLOOR,
         )
-    return SuiteReport(tuple(rows), s, alpha)
+    return SuiteReport(rows, s, band)

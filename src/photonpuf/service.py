@@ -216,6 +216,7 @@ class PufService:
     def _handle_enroll(self, r: Reader) -> bytes:
         tid = r.take(16)
         challenge = challenge_from_bytes(r.take(r.unpack("I")))
+        r.expect_end("enroll request")
         if challenge is None:
             raise ValueError("enroll needs a challenge descriptor")
         image = self._capture(tid, challenge)
@@ -224,7 +225,9 @@ class PufService:
         return bytes([OP_RESULT, OP_ENROLL]) + record.record_id + record.key_digest
 
     def _handle_auth(self, r: Reader) -> bytes:
-        record = self.store.load(r.take(16))
+        record_id = r.take(16)
+        r.expect_end("auth request")
+        record = self.store.load(record_id)
         image = self._capture(record.token_id, record.challenge)
         if image is None:
             return error_payload(ERR_INTERNAL, "record carries no challenge descriptor")
@@ -235,6 +238,7 @@ class PufService:
 
     def _handle_random(self, r: Reader) -> bytes:
         n_bits = r.unpack("I")
+        r.expect_end("random request")
         with self._guard:
             if not self._tokens:
                 raise KeyError("no token installed")

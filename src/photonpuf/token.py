@@ -531,6 +531,7 @@ def token_from_bytes(data: bytes) -> TokenModel:
     gr, gc, n1, n2 = r.unpack("IIII")
     decorr = r.unpack("d")
     grain = r.unpack("d")
+    r.expect_end("token")
     return TokenModel(seed, _KIND_NAME[kind_code], (gr, gc), (n1, n2), decorr, grain)
 
 
@@ -568,12 +569,15 @@ def challenge_from_bytes(data: bytes) -> Challenge | None:
     if tag == _CHALLENGE_PIXEL:
         rows, cols = r.unpack("II")
         bits = unpack_bits(r.take(packed_size(rows * cols)), rows * cols)
-        return PixelPattern(bits.reshape(rows, cols))
-    if tag == _CHALLENGE_WAVELENGTH:
-        return Wavelength(r.unpack("d"))
-    if tag == _CHALLENGE_NONE:
-        return None
-    raise FormatError(f"unknown challenge tag {tag}")
+        challenge = PixelPattern(bits.reshape(rows, cols))
+    elif tag == _CHALLENGE_WAVELENGTH:
+        challenge = Wavelength(r.unpack("d"))
+    elif tag == _CHALLENGE_NONE:
+        challenge = None
+    else:
+        raise FormatError(f"unknown challenge tag {tag}")
+    r.expect_end("challenge")
+    return challenge
 
 
 # ----------------------------------------------------------------------

@@ -255,6 +255,10 @@ def test_encode_rejects_bad_lengths():
         bch.encode(params, np.zeros(10, dtype=np.uint8))
     with pytest.raises(ValueError):
         bch.decode(params, np.zeros(14, dtype=np.uint8))
+    with pytest.raises(ValueError, match="secret must be binary"):
+        bch.encode(params, np.full(params.k, 2, dtype=np.uint8))
+    with pytest.raises(ValueError, match="received word must be binary"):
+        bch.decode(params, np.full(params.n, 2, dtype=np.uint8))
 
 
 # ---------------------------------------------------------------- decoding

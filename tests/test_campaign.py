@@ -59,31 +59,36 @@ def test_robustness_counts_and_determinism():
     assert np.array_equal(images[2].pixels, respond(token, chal, noise.with_seed(42)).pixels)
     res1 = score("robustness", images)
     res2 = score("robustness", robustness(token, chal, noise, 5))
-    assert res1.kind == "robustness"
-    assert res1.euclidean.count == 4           # reference vs the other four
-    assert np.array_equal(res1.euclidean.values, res2.euclidean.values)
-    assert res1.hash_hamming is None
+    assert list(res1) == ["euclidean", "correlation"]    # no helper, no hamming report
+    assert all(report.kind == "robustness" for report in res1.values())
+    assert res1["euclidean"].count == 4         # reference vs the other four
+    assert np.array_equal(res1["euclidean"].values, res2["euclidean"].values)
 
 
 def test_unpredictability_counts():
     chals = tuple(random_pattern((8, 8), s) for s in range(7))
     res = score("unpredictability", unpredictability(small_token(3), chals, mild_noise()))
-    assert res.euclidean.count == 6            # reference vs the other six
+    assert res["euclidean"].count == 6          # reference vs the other six
 
 
 def test_unclonability_counts():
     chal = random_pattern((8, 8), 1)
     res = score("unclonability", unclonability(small_token(0), chal, range(1, 6), mild_noise()))
-    assert res.correlation.count == 5
+    assert res["correlation"].count == 5
 
 
 def test_hash_report_attached_when_configured():
     chal = random_pattern((8, 8), 1)
     images = robustness(small_token(3), chal, mild_noise(), 4)
     res = score("robustness", images, rbm_helper((48, 48), 128, 0))
-    assert res.hash_hamming is not None
-    assert res.hash_hamming.count == 3
-    assert 0.0 <= res.hash_hamming.mean <= 1.0
+    # the report files' headers keep the metric names
+    assert {name: report.metric for name, report in res.items()} == {
+        "euclidean": "euclidean",
+        "correlation": "cross_correlation",
+        "hamming": "fractional_hamming",
+    }
+    assert res["hamming"].count == 3
+    assert 0.0 <= res["hamming"].mean <= 1.0
 
 
 def test_regime_ordering():
@@ -94,10 +99,10 @@ def test_regime_ordering():
     rob = score("robustness", robustness(token, chals[0], noise, 8))
     unp = score("unpredictability", unpredictability(token, chals, noise))
     unc = score("unclonability", unclonability(small_token(2), chals[0], range(3, 11), noise))
-    assert rob.euclidean.mean < unp.euclidean.mean
-    assert rob.correlation.mean > 0.9
-    assert abs(unc.correlation.mean) < 0.2
-    assert unp.correlation.mean < rob.correlation.mean
+    assert rob["euclidean"].mean < unp["euclidean"].mean
+    assert rob["correlation"].mean > 0.9
+    assert abs(unc["correlation"].mean) < 0.2
+    assert unp["correlation"].mean < rob["correlation"].mean
 
 
 # ---------------------------------------------------------------- success curve

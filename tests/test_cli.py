@@ -294,6 +294,26 @@ def test_enroll_needs_source(capsys, tmp_path):
     assert "error=" in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("capture", "--token", "{tok}", "--challenge", "{empty}", "--output", "{tmp}/out.pgm"),
+     "holds an empty challenge descriptor"),
+    (("auth", "--record", "{record}"), "auth needs --image or --token"),
+    (("auth", "--record", "{record}", "--token", "{tok}"), "record carries no challenge"),
+], ids=["empty-challenge-file", "auth-without-source", "auth-token-on-image-record"])
+def test_capture_source_errors(workdir, tmp_path, capsys, argv, message):
+    (tmp_path / "empty.chal").write_bytes(challenge_to_bytes(None))
+    save_pgm(np.random.default_rng(4).integers(0, 256, size=(32, 32), dtype=np.uint8),
+             tmp_path / "x.pgm")
+    assert main(["enroll", "--image", str(tmp_path / "x.pgm"),
+                 "--record", str(tmp_path / "i.pufr")]) == 0
+    capsys.readouterr()
+    paths = {"tok": workdir / "tok.puft", "empty": tmp_path / "empty.chal", "tmp": tmp_path,
+             "record": tmp_path / "i.pufr"}
+    code, _, err = run_cli(capsys, *(arg.format(**paths) for arg in argv))
+    assert code == 1
+    assert err.startswith("error=") and message in err
+
+
 # ---------------------------------------------------------------- eval
 
 def test_eval_robustness_report(workdir, tmp_path, capsys):
@@ -305,8 +325,13 @@ def test_eval_robustness_report(workdir, tmp_path, capsys):
     assert kv["pairs"] == "5"                   # reference vs the other five
     assert float(kv["cc_mean"]) > 0.9
     assert float(kv["hd_mean"]) < 0.2
-    for name in ("euclidean", "correlation", "hamming"):
-        assert (tmp_path / f"rob.{name}.tsv").exists()
+    headers = {name: (tmp_path / f"rob.{name}.tsv").read_text().splitlines()[0]
+               for name in ("euclidean", "correlation", "hamming")}
+    assert headers == {
+        "euclidean": "# kind=robustness metric=euclidean",
+        "correlation": "# kind=robustness metric=cross_correlation",
+        "hamming": "# kind=robustness metric=fractional_hamming",
+    }
 
 
 def test_eval_unpredictability(workdir, capsys):
@@ -416,8 +441,11 @@ def test_rng_extract_and_single_stream_test(workdir, tmp_path, capsys):
     assert 0.4 < float(kv["ones_fraction"]) < 0.6
 
     code, kv, _ = run_cli(capsys, "rng", "test", "--input", str(stream_file))
-    assert "p_frequency" in kv
-    assert "p_serial_1" in kv
+    assert list(kv) == [
+        "p_frequency", "p_block_frequency", "p_cumulative_sums_forward",
+        "p_cumulative_sums_backward", "p_runs", "p_longest_run", "p_fft",
+        "p_approximate_entropy", "p_serial_1", "p_serial_2", "passed",
+    ]
     assert kv["passed"] in ("true", "false")
     assert code == (0 if kv["passed"] == "true" else 1)
 

@@ -6,7 +6,8 @@ allocation), and ``PufService.handle_payload`` answers every payload with an
 ``OP_RESULT`` frame or an ``OP_ERROR`` frame whose code is not
 ``ERR_INTERNAL``. Inputs are raw bytes plus valid containers with bytes
 overwritten, cut short or extended, over tiny geometry so that each example
-runs in milliseconds.
+runs in milliseconds. A valid container with bytes appended is refused with
+``FormatError``.
 """
 
 import pathlib
@@ -106,6 +107,20 @@ def test_parser_contract(parse, blobs):
         assert_parser_contract(parse, data)
 
     check()
+
+
+@pytest.mark.parametrize("parse, blob", [
+    (tok.token_from_bytes, TOKEN_BLOBS[0]),
+    *[(tok.challenge_from_bytes, blob) for blob in CHALLENGE_BLOBS],
+    (helper_from_bytes, HELPER_BLOBS[0]),
+    (record_from_bytes, RECORD_BLOBS[0]),
+    (bch.params_from_bytes, BCH_BLOBS[0]),
+    (BitKey.from_bytes, KEY_BLOBS[0]),
+], ids=["token", "pattern", "wavelength", "no-challenge", "helper", "record", "bch", "bitkey"])
+def test_parser_refuses_appended_bytes(parse, blob):
+    parse(blob)
+    with pytest.raises(FormatError, match="4 trailing bytes"):
+        parse(blob + b"junk")
 
 
 @pytest.fixture(scope="module")

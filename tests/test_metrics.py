@@ -28,6 +28,8 @@ def test_euclidean_known_value():
 def test_euclidean_size_guard():
     with pytest.raises(ValueError):
         euclidean([1.0], [1.0, 2.0])
+    with pytest.raises(ValueError):
+        cross_correlation([1.0, 2.0], [1.0, 2.0, 3.0])
 
 
 def test_hamming_counts_differing_bits():

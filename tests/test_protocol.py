@@ -239,6 +239,8 @@ def test_record_container_errors():
         record_from_bytes(blob[:4] + b"\x42\x00" + blob[6:])
     with pytest.raises(errors.TruncatedError):
         record_from_bytes(blob[:-5])
+    with pytest.raises(errors.FormatError, match="4 trailing bytes after the enrollment record"):
+        record_from_bytes(blob + b"junk")
     # a stored helper whose key is one bit shorter than the code
     helper_blob = helper_to_bytes(record.hash_helper)
     short_blob = helper_to_bytes(rbm_helper((16, 16), 14, 0))

@@ -17,14 +17,7 @@ from scipy.special import erfc, gammaincc
 
 from photonpuf import randomness as rnd
 from photonpuf.hashing import BitKey
-from photonpuf.randomness import TestResult as BatteryResult
-from photonpuf.randomness import (
-    ALL_TESTS,
-    extract_bits,
-    nist_test,
-    pvalue_uniformity,
-    suite_report,
-)
+from photonpuf.randomness import battery, extract_bits, pvalue_uniformity, suite_report
 
 RNG = np.random.default_rng(20260814)
 
@@ -61,6 +54,11 @@ LONGEST_RUN_128 = np.array(
 )
 
 
+# the battery's test names, in the order the command line prints them
+BATTERY = ("frequency", "block_frequency", "cumulative_sums", "runs", "longest_run", "fft",
+           "approximate_entropy", "serial")
+
+
 def random_bits(n, seed=0):
     return np.random.default_rng(seed).integers(0, 2, size=n, dtype=np.uint8)
 
@@ -73,21 +71,20 @@ def test_pi_expansion_self_check():
 
 
 def test_frequency_documented_example():
-    assert rnd.frequency(PI100).p_value == pytest.approx(0.109599, abs=1e-6)
+    assert rnd.frequency(PI100)["frequency"] == pytest.approx(0.109599, abs=1e-6)
 
 
 def test_runs_documented_example():
-    assert rnd.runs(PI100).p_value == pytest.approx(0.500798, abs=1e-6)
+    assert rnd.runs(PI100)["runs"] == pytest.approx(0.500798, abs=1e-6)
 
 
 def test_block_frequency_documented_example():
     res = rnd.block_frequency(PI100, block_len=10)
-    assert res.p_value == pytest.approx(0.706438, abs=1e-6)
+    assert res["block_frequency"] == pytest.approx(0.706438, abs=1e-6)
 
 
 def test_cumulative_sums_documented_example():
-    res = rnd.cumulative_sums(PI100)
-    parts = dict(res.sub_results)
+    parts = rnd.cumulative_sums(PI100)
     assert parts["cumulative_sums_forward"] == pytest.approx(0.219194, abs=1e-6)
     assert parts["cumulative_sums_backward"] == pytest.approx(0.114866, abs=1e-6)
 
@@ -95,7 +92,7 @@ def test_cumulative_sums_documented_example():
 def test_longest_run_documented_example():
     # the reference tabulates category probabilities to four decimals, which
     # moves the fifth decimal of the p-value relative to the worked example
-    assert rnd.longest_run(LONGEST_RUN_128).p_value == pytest.approx(0.180609, abs=2e-5)
+    assert rnd.longest_run(LONGEST_RUN_128)["longest_run"] == pytest.approx(0.180609, abs=2e-5)
 
 
 # ---------------------------------------------------------------- clean-room oracles
@@ -199,26 +196,26 @@ def scalar_serial(b, m):
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_frequency_matches_scalar(seed):
     b = random_bits(1024, seed)
-    assert rnd.frequency(b).p_value == pytest.approx(scalar_frequency(b), abs=1e-12)
+    assert rnd.frequency(b)["frequency"] == pytest.approx(scalar_frequency(b), abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
 def test_runs_matches_scalar(seed):
     b = random_bits(1024, seed)
-    assert rnd.runs(b).p_value == pytest.approx(scalar_runs(b), abs=1e-12)
+    assert rnd.runs(b)["runs"] == pytest.approx(scalar_runs(b), abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_block_frequency_matches_scalar(seed):
     b = random_bits(2048, seed)
-    got = rnd.block_frequency(b, block_len=64).p_value
+    got = rnd.block_frequency(b, block_len=64)["block_frequency"]
     assert got == pytest.approx(scalar_block_frequency(b, 64), abs=1e-12)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_cumulative_sums_matches_scalar(seed):
     b = random_bits(1024, seed)
-    parts = dict(rnd.cumulative_sums(b).sub_results)
+    parts = rnd.cumulative_sums(b)
     assert parts["cumulative_sums_forward"] == pytest.approx(scalar_cusum(b), abs=1e-10)
     assert parts["cumulative_sums_backward"] == pytest.approx(
         scalar_cusum(b, reverse=True), abs=1e-10)
@@ -227,20 +224,20 @@ def test_cumulative_sums_matches_scalar(seed):
 @pytest.mark.parametrize("seed", [1, 2])
 def test_fft_matches_scalar(seed):
     b = random_bits(1024, seed)
-    assert rnd.fft_spectral(b).p_value == pytest.approx(scalar_fft(b), abs=1e-9)
+    assert rnd.fft_spectral(b)["fft"] == pytest.approx(scalar_fft(b), abs=1e-9)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_approximate_entropy_matches_scalar(seed):
     b = random_bits(4096, seed)
-    got = rnd.approximate_entropy(b, m=4).p_value
+    got = rnd.approximate_entropy(b, m=4)["approximate_entropy"]
     assert got == pytest.approx(scalar_apen(b, 4), abs=1e-10)
 
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_serial_matches_scalar(seed):
     b = random_bits(4096, seed)
-    parts = dict(rnd.serial(b, m=5).sub_results)
+    parts = rnd.serial(b, m=5)
     exp1, exp2 = scalar_serial(b, 5)
     assert parts["serial_1"] == pytest.approx(exp1, abs=1e-10)
     assert parts["serial_2"] == pytest.approx(exp2, abs=1e-10)
@@ -265,72 +262,76 @@ def test_longest_run_matches_scalar_on_long_stream():
     counts += [sum(1 for x in ls if x >= cats[-1])]
     chi2 = sum((c - n_blocks * r) ** 2 / (n_blocks * r) for c, r in zip(counts, ref))
     expected = float(gammaincc((len(cats) - 1) / 2, chi2 / 2))
-    assert rnd.longest_run(b).p_value == pytest.approx(expected, abs=1e-12)
+    assert rnd.longest_run(b)["longest_run"] == pytest.approx(expected, abs=1e-12)
 
 
 # ---------------------------------------------------------------- known failures
 
 def test_constant_stream_fails_frequency():
-    assert rnd.frequency(np.ones(1000, dtype=np.uint8)).p_value < 1e-10
+    assert rnd.frequency(np.ones(1000, dtype=np.uint8))["frequency"] < 1e-10
 
 
 def test_biased_stream_short_circuits_runs():
     b = np.concatenate([np.ones(75, dtype=np.uint8), np.zeros(25, dtype=np.uint8)])
-    assert rnd.runs(b).p_value == 0.0
+    assert rnd.runs(b) == {"runs": 0.0}
 
 
 def test_periodic_stream_fails_spectral_and_serial():
     b = np.tile([0, 1], 512).astype(np.uint8)
-    assert rnd.fft_spectral(b).p_value < 1e-6
-    assert rnd.serial(b).p_value < 1e-6
+    assert rnd.fft_spectral(b)["fft"] < 1e-6
+    assert min(rnd.serial(b).values()) < 1e-6
     # but its frequency statistic is perfect
-    assert rnd.frequency(b).p_value == pytest.approx(1.0)
+    assert rnd.frequency(b)["frequency"] == pytest.approx(1.0)
 
 
 def test_zero_stream_fails_entropy():
-    assert rnd.approximate_entropy(np.zeros(4096, dtype=np.uint8)).p_value < 1e-10
+    assert rnd.approximate_entropy(np.zeros(4096, dtype=np.uint8))["approximate_entropy"] < 1e-10
 
 
 # ---------------------------------------------------------------- guards
 
 def test_minimum_lengths_enforced():
-    short = random_bits(64)
-    for name in ("frequency", "cumulative_sums", "runs"):
+    too_short = [
+        (rnd.frequency, 64, {}),
+        (rnd.cumulative_sums, 64, {}),
+        (rnd.runs, 64, {}),
+        (rnd.block_frequency, 64, {"block_len": 65}),     # shorter than one block
+        (rnd.longest_run, 100, {}),
+        (rnd.fft_spectral, 500, {}),
+        (rnd.approximate_entropy, 64, {"m": 1}),
+        (rnd.approximate_entropy, 128, {"m": 4}),
+        (rnd.approximate_entropy, 1000, {"m": 4}),         # needs m < floor(log2 n) - 5 = 4
+        (rnd.serial, 64, {"m": 3}),
+        (rnd.serial, 200, {"m": 2}),
+        (rnd.serial, 200, {"m": 5}),                       # needs m < floor(log2 n) - 2 = 5
+    ]
+    for test, n, params in too_short:
         with pytest.raises(ValueError):
-            nist_test(short, name)
-    with pytest.raises(ValueError):
-        rnd.longest_run(random_bits(100))
-    with pytest.raises(ValueError):
-        rnd.fft_spectral(random_bits(500))
-    with pytest.raises(ValueError):
-        rnd.approximate_entropy(random_bits(128), m=4)   # m too large for n
-    with pytest.raises(ValueError):
-        rnd.serial(random_bits(200), m=2)
+            test(random_bits(n), **params)
+    # the largest legal block lengths
+    rnd.approximate_entropy(random_bits(1024), m=4)
+    rnd.serial(random_bits(200), m=4)
 
 
-def test_nist_test_dispatch():
+def test_battery_dispatch():
     b = random_bits(2048, 5)
-    for name in ALL_TESTS:
-        res = nist_test(b, name)
-        assert isinstance(res, BatteryResult)
-        assert res.name == name
-        assert all(0.0 <= p <= 1.0 for _, p in res.sub_results)
-    with pytest.raises(ValueError):
-        nist_test(b, "poker")
-    forwarded = nist_test(b, "block_frequency", block_len=128)
-    assert forwarded.p_value != nist_test(b, "block_frequency", block_len=32).p_value
+    results = battery(b)
+    assert tuple(results) == BATTERY
+    assert {name: tuple(parts) for name, parts in results.items() if len(parts) > 1} == {
+        "cumulative_sums": ("cumulative_sums_forward", "cumulative_sums_backward"),
+        "serial": ("serial_1", "serial_2"),
+    }
+    for parts in results.values():
+        assert all(0.0 <= p <= 1.0 for p in parts.values())
+    # each test runs at its default parameters
+    assert results["block_frequency"] == rnd.block_frequency(b, block_len=32)
+    assert results["approximate_entropy"] == rnd.approximate_entropy(b, m=4)
+    assert results["serial"] == rnd.serial(b, m=5)
 
 
 def test_non_binary_stream_rejected():
     with pytest.raises(ValueError):
         rnd.frequency(np.full(200, 2, dtype=np.uint8))
-
-
-def test_result_aggregation():
-    res = BatteryResult("demo", (("a", 0.5), ("b", 0.02)))
-    assert res.p_value == 0.02
-    assert res.passed(alpha=0.01)
-    assert not res.passed(alpha=0.05)
 
 
 # ---------------------------------------------------------------- uniformity
@@ -363,7 +364,9 @@ def test_suite_report_good_ensemble():
     streams = [BitKey(random_bits(8192, 100 + seed)) for seed in range(40)]
     report = suite_report(streams)
     assert report.n_streams == 40
-    assert len(report.rows) == len(ALL_TESTS)
+    assert tuple(report.rows) == BATTERY
+    lo, hi = report.proportion_band
+    assert lo == pytest.approx(0.99 - 3 * math.sqrt(0.99 * 0.01 / 40)) and hi == 1.0
     assert report.passed
 
 
@@ -372,17 +375,15 @@ def test_suite_report_flags_bias():
     streams = [BitKey((rng.random(4096) < 0.58).astype(np.uint8)) for _ in range(20)]
     report = suite_report(streams)
     assert not report.passed
-    by_name = {r.test: r for r in report.rows}
-    assert not by_name["frequency"].proportion_ok
+    assert not report.rows["frequency"].proportion_ok
 
 
 def test_suite_report_flags_identical_streams():
     # copies of one good stream pass individually but flunk uniformity
     stream = BitKey(random_bits(4096, 11))
     report = suite_report([stream] * 25)
-    by_name = {r.test: r for r in report.rows}
-    assert by_name["frequency"].proportion_ok
-    assert not by_name["frequency"].uniformity_ok
+    assert report.rows["frequency"].proportion_ok
+    assert not report.rows["frequency"].uniformity_ok
     assert not report.passed
 
 
@@ -469,5 +470,5 @@ def test_extracted_bits_look_fair():
     imgs = exp_images(10, seed=6)
     stream = extract_bits(imgs, 1000)
     assert abs(stream.bits.mean() - 0.5) < 0.02
-    assert rnd.frequency(stream).p_value > 0.001
-    assert rnd.runs(stream).p_value > 0.001
+    assert rnd.frequency(stream)["frequency"] > 0.001
+    assert rnd.runs(stream)["runs"] > 0.001

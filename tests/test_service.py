@@ -374,6 +374,7 @@ def test_stored_record_of_unknown_digest_algo_refused_before_capture(tmp_path, m
 
 def test_malformed_payloads_bad_frame(tmp_path):
     service, tid = make_service(tmp_path)
+    rid = service.handle_payload(enroll_msg(tid, chal_blob()))[2:18]
     cases = [
         b"",                                          # empty
         bytes([0x7F]),                                # unknown opcode
@@ -382,11 +383,17 @@ def test_malformed_payloads_bad_frame(tmp_path):
         bytes([OP_AUTH]) + b"\x01" * 3,               # short auth
         bytes([OP_RANDOM]) + le("I", 0),              # zero bits
         bytes([OP_RANDOM]) + le("I", svc.MAX_RANDOM_BITS + 1),
+        # well-formed requests with bytes appended
+        enroll_msg(tid, chal_blob()) + b"junk",
+        enroll_msg(tid, chal_blob() + b"junk"),
+        bytes([OP_AUTH]) + rid + b"junk",
+        bytes([OP_RANDOM]) + le("I", 8) + b"junk",
     ]
     for payload in cases:
         reply = service.handle_payload(payload)
         assert reply[0] == OP_ERROR, payload
         assert parse_error(reply)[0] == ERR_BAD_FRAME, payload
+    assert stored_files(tmp_path / "records") == record_files([rid])
 
 
 def test_enroll_requires_pattern_challenge(tmp_path):

@@ -675,6 +675,9 @@ def test_token_bytes_errors():
         tok.token_from_bytes(bad_version)
     with pytest.raises(errors.TruncatedError):
         tok.token_from_bytes(bytes(blob[:-3]))
+    blob[6] = 9                                  # the kind code, after magic and version
+    with pytest.raises(errors.FormatError, match="kind code 9"):
+        tok.token_from_bytes(bytes(blob))
 
 
 def test_hostile_token_sizes_rejected_before_drawing():
@@ -707,6 +710,8 @@ def test_challenge_roundtrip():
     assert back.lambda_nm == wl.lambda_nm
 
     assert tok.challenge_from_bytes(tok.challenge_to_bytes(None)) is None
+    with pytest.raises(TypeError, match="not a challenge"):
+        tok.challenge_to_bytes(1552.75)
 
 
 def test_pgm_roundtrip(tmp_path):
