@@ -74,7 +74,7 @@ def unclonability(token: TokenModel, challenge, other_token_seeds, noise: NoiseP
 
 def score(kind: str, images, helper=None) -> dict[str, metrics.DistanceReport]:
     """Distances from ``images[0]`` to every later capture by metric; ``kind`` labels the reports."""
-    ref, *rest = [img.as_float() for img in images]
+    ref, *rest = images
 
     def report(metric, values):
         return metrics.DistanceReport.from_values(values, kind=kind, metric=metric)

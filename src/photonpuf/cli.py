@@ -167,12 +167,11 @@ def _cmd_capture(args) -> int:
     challenge = _load_challenge(args.challenge)
     image = respond(token, challenge, noise=_noise_from_args(args))
     save_pgm(image, args.output)
-    arr = image.as_float()
     _emit(
         ("file", args.output),
-        ("dims", f"{arr.shape[0]}x{arr.shape[1]}"),
-        ("mean", float(arr.mean())),
-        ("max", float(arr.max())),
+        ("dims", f"{image.shape[0]}x{image.shape[1]}"),
+        ("mean", float(image.mean())),
+        ("max", float(image.max())),
     )
     return 0
 

@@ -1,11 +1,12 @@
 """Robust binary hashing of speckle images: one random binary mapping.
 
-A camera frame becomes a fixed-length bit key plus public helper data that
-lets the same key be re-derived from a noisy recapture. The standardized
-image is modulated by a random +-1 diagonal and transformed with a discrete
-Fourier transform, and a random subset of bins 1..N/2-1 is thresholded on
-the real part, which a real signal repeats at bins k and N-k. The
-randomness extractor is the same mapping drawn from a fixed public seed.
+A camera frame, any 2-D array of pixel values, becomes a fixed-length bit
+key plus public helper data that lets the same key be re-derived from a
+noisy recapture. The standardized image is modulated by a random +-1
+diagonal and transformed with a discrete Fourier transform, and a random
+subset of bins 1..N/2-1 is thresholded on the real part, which a real signal
+repeats at bins k and N-k. The randomness extractor is the same mapping
+drawn from a fixed public seed.
 
 ``rbm_helper`` draws a helper from the image geometry, the key length and a
 mapping seed alone, never from pixel values. ``hash_enroll`` draws one and
@@ -28,7 +29,6 @@ import numpy as np
 
 from ._binio import Reader, frozen_array, le, pack_bits, packed_size, unpack_bits
 from .errors import DegenerateImageError, FormatError
-from .token import SpeckleImage
 
 __all__ = [
     "BitKey",
@@ -51,8 +51,6 @@ _TAG_RBM = 0x5B1
 
 
 def _as_pixels(image) -> np.ndarray:
-    if isinstance(image, SpeckleImage):
-        return image.as_float()
     arr = np.asarray(image, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError("image must be 2-D")

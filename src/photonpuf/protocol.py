@@ -25,6 +25,7 @@ import numpy as np
 
 from . import bch
 from ._binio import Reader, frozen_array, le, pack_bits, packed_size, unpack_bits
+from .errors import FormatError
 from .hashing import BitKey, RbmHelper, hash_apply, hash_enroll, helper_from_bytes, helper_to_bytes
 from .token import Challenge, PixelPattern, challenge_from_bytes, challenge_to_bytes
 
@@ -43,7 +44,7 @@ __all__ = [
 
 _MAGIC = b"PUFR"
 _VERSION = 1
-DIGEST_SHA256 = 1
+DIGEST_SHA256 = 1  # the one digest algorithm byte a record may carry
 
 
 def _require_light(challenge: Challenge | None):
@@ -63,11 +64,8 @@ class EnrollmentRecord:
     code_offset: np.ndarray
     bch_params: bch.BchParams
     key_digest: bytes
-    digest_algo: int = DIGEST_SHA256
 
     def __post_init__(self):
-        if self.digest_algo != DIGEST_SHA256:
-            raise ValueError(f"unsupported digest algo {self.digest_algo}")
         if len(self.record_id) != 16 or len(self.token_id) != 16:
             raise ValueError("record_id and token_id must be 16 bytes")
         if len(self.key_digest) != 32:
@@ -166,7 +164,7 @@ def record_to_bytes(record: EnrollmentRecord) -> bytes:
             bch_blob,
             le("I", record.code_offset.size),
             pack_bits(record.code_offset),
-            le("B", record.digest_algo),
+            le("B", DIGEST_SHA256),
             record.key_digest,
         ]
     )
@@ -184,6 +182,8 @@ def record_from_bytes(data: bytes) -> EnrollmentRecord:
     n_bits = r.unpack("I")
     code_offset = unpack_bits(r.take(packed_size(n_bits)), n_bits)
     digest_algo = r.unpack("B")
+    if digest_algo != DIGEST_SHA256:
+        raise FormatError(f"unsupported digest algo {digest_algo}")
     digest = r.take(32)
     r.expect_end("enrollment record")
     return EnrollmentRecord(
@@ -194,7 +194,6 @@ def record_from_bytes(data: bytes) -> EnrollmentRecord:
         code_offset=code_offset,
         bch_params=params,
         key_digest=digest,
-        digest_algo=digest_algo,
     )
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import erfc, gammaincc, ndtr
 
-from .hashing import BitKey, _as_bits, _as_pixels, rbm_helper, rbm_project
+from .hashing import BitKey, _as_bits, rbm_helper, rbm_project
 
 __all__ = [
     "battery",
@@ -56,7 +56,7 @@ def extract_bits(images, bits_per_image: int) -> BitKey:
     images = list(images)
     if not images:
         raise ValueError("need at least one image")
-    helper = rbm_helper(_as_pixels(images[0]).shape, bits_per_image, _EXTRACT_SEED)
+    helper = rbm_helper(images[0].shape, bits_per_image, _EXTRACT_SEED)
     return BitKey(np.concatenate([rbm_project(img, helper) > 0.0 for img in images]))
 
 
@@ -198,11 +198,14 @@ def _pattern_counts(b: np.ndarray, m: int) -> np.ndarray:
     return np.bincount(idx, minlength=1 << m)
 
 
-def approximate_entropy(stream, m: int = 4) -> dict[str, float]:
+def approximate_entropy(stream, m: int | None = None) -> dict[str, float]:
+    """Pattern entropy test; m defaults to 4, or the largest m below it that n allows."""
     b = _as_bits(stream)
     n = b.size
     if n < 100:
         raise ValueError("approximate entropy test needs at least 100 bits")
+    if m is None:
+        m = min(4, n.bit_length() - 7)
     # SP 800-22 section 2.12.7: m < floor(log2 n) - 5
     if not 1 <= m < n.bit_length() - 6:
         raise ValueError(f"block length m={m} too large for n={n}")

@@ -32,7 +32,7 @@ import time
 import numpy as np
 
 from . import bch
-from ._binio import Reader, le
+from ._binio import Reader, le, packed_size, unpack_bits
 from .errors import FormatError
 from .hashing import BitKey, rbm_max_bins
 from .protocol import (
@@ -47,7 +47,6 @@ from .randomness import extract_bits
 from .token import (
     Challenge,
     NoiseParams,
-    SpeckleImage,
     TokenModel,
     challenge_from_bytes,
     random_pattern,
@@ -110,8 +109,9 @@ def parse_error(payload: bytes) -> tuple[int, str]:
     op, code = r.unpack("BB")
     if op != OP_ERROR:
         raise FormatError("not an error payload")
-    n = r.unpack("H")
-    return code, r.take(n).decode()
+    message = r.take(r.unpack("H")).decode()
+    r.expect_end("error payload")
+    return code, message
 
 
 class RecordStore:
@@ -177,8 +177,8 @@ class PufService:
             self._tokens[tid] = token
         return tid
 
-    def _capture(self, tid: bytes, challenge: Challenge | None) -> SpeckleImage | None:
-        """Capture ``challenge`` on installed token ``tid`` under a fresh CSPRNG noise seed.
+    def _capture(self, tid: bytes, challenge: Challenge | None) -> np.ndarray | None:
+        """Pixels of ``challenge`` on installed token ``tid`` under a fresh CSPRNG noise seed.
 
         Raises ``KeyError`` for an unknown id and returns ``None`` for no
         challenge, in that order.
@@ -363,34 +363,37 @@ class ServiceClient:
     def read_reply(self) -> bytes:
         return _read_frame(self._sock, self._timeout, self._timeout)
 
-    # -- typed calls ------------------------------------------------------
+    # -- typed calls: each reads its reply's fields, then expects its end --
+
+    def _call(self, op: int, body: bytes) -> Reader:
+        """A Reader past the ``(OP_RESULT, op)`` reply header; ``ServiceError`` on an ERROR
+        reply, ``FormatError`` on any other header."""
+        reply = self.request(bytes([op]) + body)
+        if reply[:1] == bytes([OP_ERROR]):
+            raise ServiceError(*parse_error(reply))
+        r = Reader(reply)
+        if r.unpack("BB") != (OP_RESULT, op):
+            raise FormatError(f"reply header {reply[:2].hex()} does not answer op 0x{op:02x}")
+        return r
 
     def enroll(self, token_id: bytes, challenge_blob: bytes) -> tuple[bytes, bytes]:
-        payload = bytes([OP_ENROLL]) + token_id + le("I", len(challenge_blob)) + challenge_blob
-        reply = self.request(payload)
-        self._raise_on_error(reply)
-        r = Reader(reply)
-        op, echo = r.unpack("BB")
-        return r.take(16), r.take(32)
+        r = self._call(OP_ENROLL, token_id + le("I", len(challenge_blob)) + challenge_blob)
+        record_id, digest = r.take(16), r.take(32)
+        r.expect_end("enroll reply")
+        return record_id, digest
 
     def auth(self, record_id: bytes) -> tuple[bool, int]:
-        reply = self.request(bytes([OP_AUTH]) + record_id)
-        self._raise_on_error(reply)
-        r = Reader(reply)
-        op, echo, verdict = r.unpack("BBB")
-        corrected = r.unpack("H")
+        r = self._call(OP_AUTH, record_id)
+        verdict, corrected = r.unpack("BH")
+        r.expect_end("auth reply")
         return bool(verdict), corrected
 
     def random_bits(self, n_bits: int) -> np.ndarray:
-        reply = self.request(bytes([OP_RANDOM]) + le("I", n_bits))
-        self._raise_on_error(reply)
-        return BitKey.from_bytes(reply[2:]).bits
-
-    @staticmethod
-    def _raise_on_error(reply: bytes):
-        if reply and reply[0] == OP_ERROR:
-            code, message = parse_error(reply)
-            raise ServiceError(code, message)
+        r = self._call(OP_RANDOM, le("I", n_bits))
+        n = r.unpack("I")
+        bits = unpack_bits(r.take(packed_size(n)), n)
+        r.expect_end("random reply")
+        return bits
 
 
 class ServiceError(RuntimeError):

@@ -52,7 +52,6 @@ __all__ = [
     "PixelPattern",
     "Wavelength",
     "Challenge",
-    "SpeckleImage",
     "NoiseParams",
     "new_token",
     "token_id",
@@ -148,22 +147,6 @@ class Wavelength:
 
 
 Challenge = PixelPattern | Wavelength
-
-
-@dataclass(frozen=True, eq=False)
-class SpeckleImage:
-    """Quantized camera frame: uint8 up to 8 bits per pixel, uint16 above."""
-
-    pixels: np.ndarray
-
-    def __post_init__(self):
-        px = frozen_array(self.pixels)
-        if px.ndim != 2:
-            raise ValueError("image must be 2-D")
-        object.__setattr__(self, "pixels", px)
-
-    def as_float(self) -> np.ndarray:
-        return self.pixels.astype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -424,9 +407,10 @@ def _translate(img: np.ndarray, dr: float, dc: float) -> np.ndarray:
 
 
 def _capture(token: TokenModel, field: np.ndarray, mean_intensity: float,
-             noise: NoiseParams, bit_depth: int, rng) -> SpeckleImage:
+             noise: NoiseParams, bit_depth: int, rng) -> np.ndarray:
     """Capture tail of ``respond``: grain, intensity, additive noise, quantization.
 
+    Returns the quantized 2-D pixel array: uint8 up to 8 bits, uint16 above.
     The field is cast to complex64 once, and every step after it runs in
     single precision. The grain filter goes through ``scipy.fft``, which
     transforms complex64 as complex64 on every supported numpy version;
@@ -451,8 +435,7 @@ def _capture(token: TokenModel, field: np.ndarray, mean_intensity: float,
         img += np.float32(noise.intensity_sigma * qmax) * rng.standard_normal(
             img.shape, dtype=np.float32)
     px = np.clip(np.floor(img + np.float32(0.5)), 0, qmax)
-    dtype = np.uint8 if bit_depth <= 8 else np.uint16
-    return SpeckleImage(px.astype(dtype))
+    return px.astype(np.uint8 if bit_depth <= 8 else np.uint16)
 
 
 def _noise_rng(noise: NoiseParams):
@@ -460,7 +443,7 @@ def _noise_rng(noise: NoiseParams):
 
 
 def respond(token: TokenModel, challenge: Challenge, noise: NoiseParams | None = None,
-            bit_depth: int = 8) -> SpeckleImage:
+            bit_depth: int = 8) -> np.ndarray:
     """Capture the speckle image for a pixel-mask or wavelength challenge.
 
     A mask sums its lit rows of ``token.field_tensor`` and reads no unlit
@@ -468,7 +451,9 @@ def respond(token: TokenModel, challenge: Challenge, noise: NoiseParams | None =
     of that field and adds one circular Gaussian per camera pixel of power
     ``(1 - c^2) R`` for ``R`` rows, the decorrelated part of every lit row.
     ``_capture`` then scales by the row count (at least 1) and quantizes to
-    ``bit_depth`` bits (1..16): uint8 pixels up to 8 bits, uint16 above.
+    ``bit_depth`` bits (1..16). The result is a fresh 2-D pixel array of
+    shape ``token.out_dims``, uint8 up to 8 bits and uint16 above, held by
+    the caller alone.
     Identical inputs (including noise_seed) give bit-identical images, and
     with all noise magnitudes zero the capture is a pure function of token
     and challenge.
@@ -583,8 +568,8 @@ def challenge_from_bytes(data: bytes) -> Challenge | None:
 # ----------------------------------------------------------------------
 # PGM import/export (binary P5, single byte samples)
 
-def save_pgm(image: SpeckleImage | np.ndarray, path):
-    px = image.pixels if isinstance(image, SpeckleImage) else np.asarray(image)
+def save_pgm(image: np.ndarray, path):
+    px = np.asarray(image)
     if px.ndim != 2 or px.dtype != np.uint8:
         raise ValueError("PGM export needs a 2-D uint8 image")
     rows, cols = px.shape
@@ -611,7 +596,8 @@ def _pgm_tokens(data: bytes):
         yield data[start:i], i
 
 
-def load_pgm(path) -> SpeckleImage:
+def load_pgm(path) -> np.ndarray:
+    """Read a binary PGM as a read-only 2-D uint8 pixel array."""
     with open(path, "rb") as fh:
         data = fh.read()
     toks = _pgm_tokens(data)
@@ -619,12 +605,16 @@ def load_pgm(path) -> SpeckleImage:
     if magic != b"P5":
         raise BadMagicError(f"not a binary PGM file (magic {magic!r})")
     (cols, _), (rows, _), (maxval, end) = (next(toks) for _ in range(3))
+    for number in (cols, rows, maxval):
+        if not number.isdigit():
+            raise FormatError(f"PGM header number {number!r} is not ASCII decimal")
     cols, rows, maxval = int(cols), int(rows), int(maxval)
+    if cols < 1 or rows < 1:
+        raise FormatError(f"PGM dimensions {cols}x{rows} must be positive")
     if not 0 < maxval <= 255:
         raise FormatError(f"unsupported PGM maxval {maxval}")
     start = end + 1  # single whitespace byte after maxval
     raw = data[start : start + rows * cols]
     if len(raw) < rows * cols:
         raise TruncatedError("PGM pixel data truncated")
-    px = np.frombuffer(raw, dtype=np.uint8).reshape(rows, cols).copy()
-    return SpeckleImage(px)
+    return np.frombuffer(raw, dtype=np.uint8).reshape(rows, cols)

@@ -56,7 +56,7 @@ def test_robustness_counts_and_determinism():
     noise = mild_noise().with_seed(40)
     images = robustness(token, chal, noise, 5)
     # capture i is seeded noise_seed + i
-    assert np.array_equal(images[2].pixels, respond(token, chal, noise.with_seed(42)).pixels)
+    assert np.array_equal(images[2], respond(token, chal, noise.with_seed(42)))
     res1 = score("robustness", images)
     res2 = score("robustness", robustness(token, chal, noise, 5))
     assert list(res1) == ["euclidean", "correlation"]    # no helper, no hamming report

@@ -128,8 +128,8 @@ def test_capture_writes_pgm(workdir, tmp_path, capsys):
     assert code == 0
     assert kv["dims"] == "32x32"
     image = load_pgm(out_file)
-    assert image.as_float().shape == (32, 32)
-    assert float(kv["mean"]) == pytest.approx(image.as_float().mean(), rel=1e-4)
+    assert image.shape == (32, 32)
+    assert float(kv["mean"]) == pytest.approx(image.mean(), rel=1e-4)
 
 
 def test_capture_draws_fresh_noise_without_seed(workdir, tmp_path, capsys):

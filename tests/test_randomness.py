@@ -329,6 +329,17 @@ def test_battery_dispatch():
     assert results["serial"] == rnd.serial(b, m=5)
 
 
+def test_battery_of_a_short_stream_lowers_the_entropy_block_length():
+    # 1000 bits allow m < floor(log2 n) - 5 = 4: the default m steps down to 3
+    b = random_bits(1000, 6)
+    results = battery(b)
+    assert results["approximate_entropy"] == rnd.approximate_entropy(b, m=3)
+    assert sum(len(parts) for parts in results.values()) == 10
+    # from 1024 bits on the default is m = 4, as before
+    b = random_bits(1024, 6)
+    assert rnd.approximate_entropy(b) == rnd.approximate_entropy(b, m=4)
+
+
 def test_non_binary_stream_rejected():
     with pytest.raises(ValueError):
         rnd.frequency(np.full(200, 2, dtype=np.uint8))

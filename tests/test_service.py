@@ -173,6 +173,47 @@ def test_error_payload_roundtrip():
         parse_error(bytes([OP_RESULT, 0, 0, 0]))
 
 
+def test_error_payload_with_trailing_bytes_refused():
+    with pytest.raises(errors.FormatError, match="trailing"):
+        parse_error(error_payload(ERR_BAD_FRAME, "x") + b"junk")
+
+
+class CannedClient(ServiceClient):
+    """A client with no socket whose every request gets one fixed reply."""
+
+    def __init__(self, reply: bytes):
+        self.reply = reply
+
+    def request(self, payload: bytes) -> bytes:
+        return self.reply
+
+
+def test_client_checks_replies_as_the_server_checks_requests():
+    enrolled = bytes([OP_RESULT, OP_ENROLL]) + b"r" * 16 + b"d" * 32
+    accepted = bytes([OP_RESULT, OP_AUTH, 1]) + le("H", 2)
+    bits = bytes([OP_RESULT, OP_RANDOM]) + BitKey([1, 0, 1]).to_bytes()
+    assert CannedClient(enrolled).enroll(b"t" * 16, chal_blob()) == (b"r" * 16, b"d" * 32)
+    assert CannedClient(accepted).auth(b"r" * 16) == (True, 2)
+    assert CannedClient(bits).random_bits(3).tolist() == [1, 0, 1]
+    with pytest.raises(ServiceError, match="not_found: gone") as err:
+        CannedClient(error_payload(ERR_NOT_FOUND, "gone")).auth(b"r" * 16)
+    assert err.value.code == ERR_NOT_FOUND
+    malformed = [
+        ("auth", error_payload(ERR_BAD_FRAME, "x") + b"junk"),
+        ("auth", bytes([OP_RESULT, OP_ENROLL, 1]) + le("H", 0)),   # echoes another op
+        ("auth", accepted + b"\x00\x00"),
+        ("auth", accepted[:4]),
+        ("auth", b""),
+        ("enroll", enrolled + b"\x00"),
+        ("random_bits", bytes([OP_RESULT, OP_AUTH]) + bits[2:]),
+        ("random_bits", bits + b"\x00"),
+    ]
+    args = {"auth": (b"r" * 16,), "enroll": (b"t" * 16, chal_blob()), "random_bits": (3,)}
+    for call, reply in malformed:
+        with pytest.raises(errors.FormatError):
+            getattr(CannedClient(reply), call)(*args[call])
+
+
 def test_error_payload_truncates_long_messages():
     code, message = parse_error(error_payload(ERR_INTERNAL, "y" * 5000))
     assert len(message) == 1000

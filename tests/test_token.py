@@ -78,8 +78,8 @@ def test_capture_reproducible_per_noise_seed():
     img1 = tok.respond(t, chal, noise)
     img2 = tok.respond(t, chal, noise)
     img3 = tok.respond(t, chal, tok.NoiseParams().with_seed(12))
-    assert np.array_equal(img1.pixels, img2.pixels)
-    assert not np.array_equal(img1.pixels, img3.pixels)
+    assert np.array_equal(img1, img2)
+    assert not np.array_equal(img1, img3)
 
 
 # ---------------------------------------------------------------- field physics
@@ -204,7 +204,7 @@ def test_capture_after_the_sum_stays_single_precision():
                     t.out_dims, dtype=np.float32)
             assert field.dtype == np.complex64
             expected = manual_tail(t, field, len(on), 16, camera_noise=camera)
-            assert np.array_equal(tok.respond(t, chal, noise, bit_depth=16).pixels, expected)
+            assert np.array_equal(tok.respond(t, chal, noise, bit_depth=16), expected)
 
 
 @pytest.mark.parametrize("bit_depth", [8, 16])
@@ -218,17 +218,17 @@ def test_capture_pipeline_matches_manual_recomputation(on, grain, bit_depth):
                       bit_depth=bit_depth)
     # rows add up in the table's single precision, and the rest stays there
     field = t.field_tensor[np.sort(on)].sum(axis=0)
-    assert np.array_equal(img.pixels, manual_tail(t, field, len(on), bit_depth))
+    assert np.array_equal(img, manual_tail(t, field, len(on), bit_depth))
     # against the same capture in double precision, rounding moves a pixel by at most 1
     double = manual_tail(t, field, len(on), bit_depth, dtype=np.complex128)
-    assert np.abs(img.pixels - double).max() <= 1
+    assert np.abs(img - double).max() <= 1
 
 
 def test_empty_pattern_gives_dark_frame():
     t = make_token()
     img = tok.respond(t, tok.PixelPattern(np.zeros(t.grid_dims, dtype=np.uint8)),
                       noise=tok.NoiseParams.none())
-    assert img.as_float().max() == 0.0
+    assert img.max() == 0
 
 
 def test_intensity_statistics_are_exponential():
@@ -263,7 +263,7 @@ def test_speckle_grain_sets_neighbor_correlation():
     t = make_token(seed=21, out=(128, 128), grain=sigma)
     img = tok.respond(t, tok.random_pattern(t.grid_dims, 2),
                       noise=tok.NoiseParams.none(), bit_depth=16)
-    intensity = img.as_float()
+    intensity = img.astype(np.float64)
     expected = math.exp(-1.0 / (4 * sigma**2)) ** 2
     got = metrics.cross_correlation(intensity[:, 1:], intensity[:, :-1])
     assert abs(got - expected) < 0.05
@@ -275,7 +275,7 @@ def test_grainless_pixels_are_uncorrelated():
     t = make_token(seed=22, out=(128, 128), grain=0.0)
     img = tok.respond(t, tok.random_pattern(t.grid_dims, 2),
                       noise=tok.NoiseParams.none(), bit_depth=16)
-    intensity = img.as_float()
+    intensity = img.astype(np.float64)
     assert abs(metrics.cross_correlation(intensity[:, 1:], intensity[:, :-1])) < 0.05
 
 
@@ -284,7 +284,7 @@ def test_grainless_pixels_are_uncorrelated():
 def test_capture_scaling_leaves_headroom():
     t = make_token(seed=4, out=(128, 128))
     img = tok.respond(t, tok.random_pattern(t.grid_dims, 5), noise=tok.NoiseParams.none())
-    arr = img.as_float()
+    arr = img.astype(np.float64)
     # mean pinned to a quarter of full scale; exponential tail clips ~e^-4
     assert abs(arr.mean() - 255.0 / 4.0) < 3.0
     assert (arr == 255).mean() < 0.03
@@ -294,8 +294,8 @@ def test_bit_depth_controls_range(tmp_path):
     t = make_token(seed=4)
     img = tok.respond(t, tok.random_pattern(t.grid_dims, 5),
                       noise=tok.NoiseParams.none(), bit_depth=12)
-    assert img.pixels.dtype == np.uint16
-    assert img.pixels.max() <= 4095
+    assert img.dtype == np.uint16
+    assert img.max() <= 4095
     with pytest.raises(ValueError, match="uint8"):
         tok.save_pgm(img, tmp_path / "deep.pgm")      # PGM export holds one byte per sample
     with pytest.raises(ValueError):
@@ -309,11 +309,11 @@ def test_phase_noise_decorrelates_as_predicted():
     # of width sigma applied per contributing field component
     t = make_token(seed=8, grid=(16, 16), out=(128, 128))
     chal = tok.random_pattern(t.grid_dims, 1)
-    clean = tok.respond(t, chal, noise=tok.NoiseParams.none()).as_float()
+    clean = tok.respond(t, chal, noise=tok.NoiseParams.none())
     last = 1.0
     for sigma in (0.1, 0.3, 0.6):
         noise = tok.NoiseParams(intensity_sigma=0.0, phase_drift_sigma=sigma, noise_seed=5)
-        noisy = tok.respond(t, chal, noise=noise).as_float()
+        noisy = tok.respond(t, chal, noise=noise)
         cc = metrics.cross_correlation(clean, noisy)
         assert abs(cc - math.exp(-sigma * sigma)) < 0.04
         assert cc < last
@@ -323,13 +323,13 @@ def test_phase_noise_decorrelates_as_predicted():
 def test_temperature_drift_adds_phase_noise():
     t = make_token(seed=8, out=(128, 128))
     chal = tok.random_pattern(t.grid_dims, 1)
-    clean = tok.respond(t, chal, noise=tok.NoiseParams.none()).as_float()
+    clean = tok.respond(t, chal, noise=tok.NoiseParams.none())
 
     def cc_at(delta):
         noise = tok.NoiseParams(intensity_sigma=0.0, phase_drift_sigma=0.0,
                                 delta_T=delta, noise_seed=6)
         return metrics.cross_correlation(
-            clean, tok.respond(t, chal, noise=noise).as_float())
+            clean, tok.respond(t, chal, noise=noise))
 
     assert cc_at(0.0) > 0.999  # compensation on: no residual drift term
     assert cc_at(3.0) < cc_at(1.0) < cc_at(0.0)
@@ -436,10 +436,10 @@ def test_vibration_translates_the_frame(monkeypatch):
     shaken = tok.respond(t, chal, noise=base.__class__(
         intensity_sigma=0.0, phase_drift_sigma=0.0,
         vibration_amp=amp, vibration_prob=1.0, noise_seed=7), bit_depth=16)
-    assert still.pixels.max() < 65535  # nothing saturates under the wide headroom
-    assert not np.array_equal(still.pixels, shaken.pixels)
+    assert still.max() < 65535  # nothing saturates under the wide headroom
+    assert not np.array_equal(still, shaken)
 
-    sf, vf = still.as_float(), shaken.as_float()
+    sf, vf = still.astype(np.float64), shaken.astype(np.float64)
 
     def misfit(d):
         cand = np.clip(tok._translate(sf, d[0], d[1]), 0, 65535)
@@ -480,10 +480,10 @@ def test_vibration_path_stays_single_precision(monkeypatch):
     noise = tok.NoiseParams(vibration_amp=1.5, vibration_prob=1.0, noise_seed=3)
     a, b = (tok.respond(t, chal, noise) for _ in range(2))
     assert seen == [(np.float32, np.float32)] * 2
-    assert a.pixels.dtype == np.uint8 and a.pixels.shape == t.out_dims
-    assert abs(a.as_float().mean() - 255.0 / 4.0) < 8.0
-    assert np.array_equal(a.pixels, b.pixels)
-    assert not np.array_equal(a.pixels, tok.respond(t, chal, noise.with_seed(4)).pixels)
+    assert a.dtype == np.uint8 and a.shape == t.out_dims
+    assert abs(a.mean() - 255.0 / 4.0) < 8.0
+    assert np.array_equal(a, b)
+    assert not np.array_equal(a, tok.respond(t, chal, noise.with_seed(4)))
 
 
 def test_vibration_probability_zero_is_identity():
@@ -494,7 +494,7 @@ def test_vibration_probability_zero_is_identity():
     unshaken = tok.respond(t, chal, noise=tok.NoiseParams(
         intensity_sigma=0.0, phase_drift_sigma=0.0,
         vibration_amp=2.0, vibration_prob=0.0, noise_seed=7))
-    assert np.array_equal(still.pixels, unshaken.pixels)
+    assert np.array_equal(still, unshaken)
 
 
 def test_mask_shape_must_match_grid():
@@ -534,8 +534,8 @@ def test_dense_capture_reads_only_lit_rows():
     assert np.all(np.isfinite(field))
     assert np.array_equal(field, tok.pattern_field(t, chal))
     noise = tok.NoiseParams().with_seed(3)
-    assert np.array_equal(tok.respond(poisoned, chal, noise).pixels,
-                          tok.respond(t, chal, noise).pixels)
+    assert np.array_equal(tok.respond(poisoned, chal, noise),
+                          tok.respond(t, chal, noise))
 
 
 def test_shared_token_captures_match_serial():
@@ -543,12 +543,12 @@ def test_shared_token_captures_match_serial():
     t = make_token(seed=2)
     chal = tok.random_pattern(t.grid_dims, 5)
     noises = [tok.NoiseParams().with_seed(s) for s in range(40)]
-    serial = [tok.respond(t, chal, n).pixels for n in noises]
+    serial = [tok.respond(t, chal, n) for n in noises]
     got = [None] * len(noises)
 
     def worker(half):
         for i in range(half, len(noises), 2):
-            got[i] = tok.respond(t, chal, noises[i]).pixels
+            got[i] = tok.respond(t, chal, noises[i])
 
     threads = [threading.Thread(target=worker, args=(h,)) for h in (0, 1)]
     interval = sys.getswitchinterval()
@@ -571,12 +571,11 @@ def test_wavelength_decorrelation_matches_exponential():
     L = 500.0
     t = tok.new_token(31, kind="pof", grid_dims=(8, 8), out_dims=(128, 128),
                       wl_decorrelation_length=L, speckle_grain=0.0)
-    base = tok.respond(t, tok.Wavelength(1540.0),
-                      noise=tok.NoiseParams.none()).as_float()
+    base = tok.respond(t, tok.Wavelength(1540.0), noise=tok.NoiseParams.none())
     for delta_pm in (50.0, 125.0, 400.0):
         img = tok.respond(
             t, tok.Wavelength(1540.0 + delta_pm / 1000.0),
-            noise=tok.NoiseParams.none()).as_float()
+            noise=tok.NoiseParams.none())
         expected = math.exp(-2.0 * delta_pm / L)
         assert abs(metrics.cross_correlation(base, img) - expected) < 0.05
 
@@ -584,13 +583,12 @@ def test_wavelength_decorrelation_matches_exponential():
 def test_wavelength_correlation_monotone_in_separation():
     t = tok.new_token(32, kind="pof", grid_dims=(8, 8), out_dims=(64, 64),
                       wl_decorrelation_length=300.0, speckle_grain=0.0)
-    base = tok.respond(t, tok.Wavelength(1541.0),
-                      noise=tok.NoiseParams.none()).as_float()
+    base = tok.respond(t, tok.Wavelength(1541.0), noise=tok.NoiseParams.none())
     ccs = []
     for delta_pm in (0.0, 40.0, 90.0, 200.0, 500.0):
         img = tok.respond(
             t, tok.Wavelength(1541.0 + delta_pm / 1000.0),
-            noise=tok.NoiseParams.none()).as_float()
+            noise=tok.NoiseParams.none())
         ccs.append(metrics.cross_correlation(base, img))
     assert ccs[0] > 0.999
     assert all(a > b for a, b in zip(ccs, ccs[1:]))
@@ -603,7 +601,7 @@ def test_wavelength_capture_independent_of_query_order():
     # a far query in between must not change the answer
     tok.respond(t, tok.Wavelength(1569.9), noise=tok.NoiseParams.none())
     b = tok.respond(t, wl, noise=tok.NoiseParams.none())
-    assert np.array_equal(a.pixels, b.pixels)
+    assert np.array_equal(a, b)
 
 
 def test_wavelength_range_enforced():
@@ -625,7 +623,7 @@ def test_wavelength_decorrelation_spans_the_window(lo_nm, hi_nm):
     a, b = (tok.respond(t, tok.Wavelength(wl), noise=tok.NoiseParams.none())
             for wl in (lo_nm, hi_nm))
     expected = math.exp(-2.0 * (hi_nm - lo_nm) * 1000.0 / L)
-    assert abs(metrics.cross_correlation(a.as_float(), b.as_float()) - expected) < 0.05
+    assert abs(metrics.cross_correlation(a, b) - expected) < 0.05
 
 
 @pytest.mark.parametrize("kind, levels", [("pof", 20), ("diffuser", 16)])
@@ -721,7 +719,7 @@ def test_pgm_roundtrip(tmp_path):
     path = tmp_path / "img.pgm"
     tok.save_pgm(img, path)
     loaded = tok.load_pgm(path)
-    assert np.array_equal(loaded.pixels, img.pixels)
+    assert np.array_equal(loaded, img)
 
 
 def test_pgm_accepts_comments_and_whitespace(tmp_path):
@@ -729,8 +727,8 @@ def test_pgm_accepts_comments_and_whitespace(tmp_path):
     path = tmp_path / "c.pgm"
     path.write_bytes(raw)
     img = tok.load_pgm(path)
-    assert img.pixels.shape == (2, 3)
-    assert img.pixels.ravel().tolist() == list(range(6))
+    assert img.shape == (2, 3)
+    assert img.ravel().tolist() == list(range(6))
 
 
 def test_pgm_errors(tmp_path):
@@ -748,6 +746,13 @@ def test_pgm_errors(tmp_path):
     path.write_bytes(b"P5 3 2")                   # no maxval
     with pytest.raises(errors.TruncatedError, match="header"):
         tok.load_pgm(path)
+    # header numbers are ASCII decimal, and an image has at least one pixel
+    for header, match in ((b"-3 4 255", "decimal"), (b"ab 4 255", "decimal"),
+                          (b"+3 4 255", "decimal"), (b"3 4 +255", "decimal"),
+                          (b"0 4 255", "positive"), (b"3 0 255", "positive")):
+        path.write_bytes(b"P5 " + header + b"\n" + bytes(12))
+        with pytest.raises(errors.FormatError, match=match):
+            tok.load_pgm(path)
 
 
 def test_random_pattern_is_seeded_and_spread():
