@@ -13,9 +13,10 @@ Capture i uses noise seed ``noise.noise_seed + i``. ``score`` compares the
 reference with every later capture, mirroring how authentication compares
 field captures to the enrolled key, and returns a plain mapping from metric
 name to ``metrics.DistanceReport``: ``"euclidean"`` and ``"correlation"``
-always, and ``"hamming"`` when a hash helper is supplied (one drawn for the
-token's camera geometry, for example with ``hashing.rbm_helper``); every
-capture is then hashed with it.
+always, and ``"hamming"`` when a key length is supplied. The reference then
+enrolls with ``hashing.hash_enroll`` at mapping seed 0, so every evaluation
+of one geometry hashes with the same mapping, and every later capture is
+hashed with the reference's helper.
 
 ``success_curve`` turns the Hamming distances between enrollment and
 authentication keys into the probability that a code correcting t errors
@@ -29,7 +30,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import metrics
-from .hashing import hash_apply
+from .hashing import hash_apply, hash_enroll
 from .token import NoiseParams, TokenModel, respond
 
 __all__ = [
@@ -72,7 +73,7 @@ def unclonability(token: TokenModel, challenge, other_token_seeds, noise: NoiseP
     return images
 
 
-def score(kind: str, images, helper=None) -> dict[str, metrics.DistanceReport]:
+def score(kind: str, images, key_len: int | None = None) -> dict[str, metrics.DistanceReport]:
     """Distances from ``images[0]`` to every later capture by metric; ``kind`` labels the reports."""
     ref, *rest = images
 
@@ -84,8 +85,9 @@ def score(kind: str, images, helper=None) -> dict[str, metrics.DistanceReport]:
         "correlation": report("cross_correlation",
                               [metrics.cross_correlation(ref, img) for img in rest]),
     }
-    if helper is not None:
-        ref_key, *keys = [hash_apply(img, helper) for img in images]
+    if key_len is not None:
+        ref_key, helper = hash_enroll(ref, key_len, 0)
+        keys = [hash_apply(img, helper) for img in rest]
         reports["hamming"] = report("fractional_hamming",
                                     [metrics.fractional_hamming(ref_key, key) for key in keys])
     return reports

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import bch
 from .campaign import robustness, score, success_curve, unclonability, unpredictability
-from .hashing import BitKey, hash_apply, rbm_helper
+from .hashing import BitKey, hash_apply, hash_enroll
 from .metrics import hamming
 from .protocol import authenticate, enroll, load_record, save_record, verify
 from .randomness import battery, suite_report
@@ -75,9 +75,6 @@ def _noise_flags(parser: argparse.ArgumentParser, seeded: bool = True):
     g.add_argument("--phase-sigma", type=float, default=default.phase_drift_sigma)
     g.add_argument("--delta-t", type=float, default=default.delta_T,
                    help="temperature offset, degC")
-    g.add_argument("--vibration-amp", type=float, default=default.vibration_amp,
-                   help="resonant translation jitter amplitude, pixels")
-    g.add_argument("--vibration-prob", type=float, default=default.vibration_prob)
     if seeded:  # rng extract and serve reseed every capture themselves
         g.add_argument("--noise-seed", type=int, default=None,
                        help="repeat a capture; a fresh seed from the OS CSPRNG by default")
@@ -92,8 +89,6 @@ def _noise_from_args(args) -> NoiseParams:
         intensity_sigma=args.intensity_sigma,
         phase_drift_sigma=args.phase_sigma,
         delta_T=args.delta_t,
-        vibration_amp=args.vibration_amp,
-        vibration_prob=args.vibration_prob,
         noise_seed=secrets.randbits(64) if seed is None else seed,
     )
 
@@ -240,9 +235,8 @@ def _capture_unclonability(args, token, noise):
 
 def _cmd_eval_distances(args) -> int:
     token = load_token(args.token)
-    # mapping seed 0: every eval of one token hashes with the same mapping
-    helper = None if args.no_hash else rbm_helper(token.out_dims, args.key_len, 0)
-    reports = score(args.action, args.capture(args, token, _noise_from_args(args)), helper)
+    key_len = None if args.no_hash else args.key_len
+    reports = score(args.action, args.capture(args, token, _noise_from_args(args)), key_len)
 
     pairs = [("kind", args.action), ("pairs", reports["euclidean"].count)]
     for name, report in reports.items():
@@ -268,9 +262,8 @@ def _cmd_eval_success_curve(args) -> int:
         # capture 0 enrolls, captures 1..auths authenticate against it
         images = robustness(token, challenge, noise.with_seed(noise.noise_seed + 1000 * i),
                             args.auths + 1)
-        helper = rbm_helper(token.out_dims, params.n, i)
-        key, *auth_keys = [hash_apply(img, helper) for img in images]
-        distances += [hamming(key, auth_key) for auth_key in auth_keys]
+        key, helper = hash_enroll(images[0], params.n, i)
+        distances += [hamming(key, hash_apply(img, helper)) for img in images[1:]]
     curve = success_curve(distances, params.n)
     hd = np.array(distances)
     pairs = [
@@ -442,7 +435,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p_extract.add_argument("--output", required=True)
     _noise_flags(p_extract, seeded=False)
     p_extract.set_defaults(func=_cmd_rng_extract)
-    p_test = rng_sub.add_parser("test")
+    test_help = ("run the SP 800-22 battery on bit files: a sanity check on the output, "
+                 "not evidence of entropy")
+    p_test = rng_sub.add_parser("test", help=test_help, description=test_help)
     p_test.add_argument("--input", nargs="+", required=True)
     p_test.add_argument("--alpha", type=float, default=0.01)
     p_test.set_defaults(func=_cmd_rng_test)

@@ -11,6 +11,8 @@ plain mapping from sub-test label to p-value, for example
 p-value is at least alpha. ``battery`` runs all eight and maps each test
 name to its mapping. ``suite_report`` aggregates many streams into pass
 proportions plus a p-value uniformity check, in a row per test name.
+Passing the battery is a sanity check on the output, not evidence of
+entropy: a deterministic expansion of a short seed passes it too.
 
 The randomness comes from the captures: ``service.random_bits``, behind both
 ``OP_RANDOM`` and ``photonpuf rng extract``, lights a fresh random pattern

@@ -27,9 +27,8 @@ that is exactly ``c * sum_r a_r + sqrt((1 - c^2) R) w``, one unit complex
 normal ``w`` per camera pixel, so a capture adds up only the lit rows of the
 table and draws one complex normal per pixel. The field correlation with the
 noiseless capture is ``c``, the intensity correlation ``exp(-sigma^2)``.
-Grain, optional vibration jitter (a translation by roughly one resonant
-amplitude in a random direction, sub-pixel offsets included), additive
-camera noise on the scaled intensity and quantization follow.
+Grain, additive camera noise on the scaled intensity and quantization
+follow.
 """
 
 from __future__ import annotations
@@ -157,33 +156,26 @@ class NoiseParams:
     is the width sigma of the medium's decorrelation: a capture's field keeps
     correlation ``exp(-sigma^2 / 2)`` with the noiseless one. delta_T
     (degrees C) adds ``_DRIFT_COEFF * |delta_T|`` (0.2 rad/degC) to sigma.
-    vibration models a resonant mechanical mode: with
-    probability vibration_prob per capture the frame is translated by about
-    vibration_amp pixels (within +-20%) in a uniformly random direction.
     noise_seed makes the capture reproducible; all-zero magnitudes give
     bit-exact deterministic output. Magnitudes must be finite and
-    non-negative, delta_T finite (either sign) and vibration_prob in [0, 1];
-    anything else raises ValueError.
+    non-negative and delta_T finite (either sign); anything else raises
+    ValueError.
     """
 
     intensity_sigma: float = 0.01
     phase_drift_sigma: float = 0.085
     delta_T: float = 0.0
-    vibration_amp: float = 0.0
-    vibration_prob: float = 0.0
     noise_seed: int = 0
 
     def __post_init__(self):
         # the capture tests each magnitude with "> 0", so a negative or NaN one
         # would silently read as no noise at all
-        for name in ("intensity_sigma", "phase_drift_sigma", "vibration_amp"):
+        for name in ("intensity_sigma", "phase_drift_sigma"):
             value = getattr(self, name)
             if not 0 <= value < math.inf:
                 raise ValueError(f"{name} must be finite and non-negative, got {value}")
         if not math.isfinite(self.delta_T):
             raise ValueError(f"delta_T must be finite, got {self.delta_T}")
-        if not 0 <= self.vibration_prob <= 1:
-            raise ValueError(f"vibration_prob must be in [0, 1], got {self.vibration_prob}")
 
     @classmethod
     def none(cls) -> "NoiseParams":
@@ -391,21 +383,6 @@ def wavelength_field(token: TokenModel, challenge: Wavelength) -> np.ndarray:
     return field.reshape(token.out_dims)
 
 
-def _translate(img: np.ndarray, dr: float, dc: float) -> np.ndarray:
-    """Circularly translate a frame by a (possibly fractional) pixel offset.
-
-    Implemented as a Fourier phase ramp, so sub-pixel offsets are exact and
-    the intensity statistics stay stationary under the periodic convention
-    already used for grain smoothing. The result keeps the frame's precision.
-    """
-    nr, nc = img.shape
-    ramp_r = np.exp(-2j * np.pi * dr * scipy.fft.fftfreq(nr))
-    ramp_c = np.exp(-2j * np.pi * dc * scipy.fft.fftfreq(nc))
-    spectrum = scipy.fft.fft2(img)
-    spectrum *= np.outer(ramp_r, ramp_c)  # rounded to the spectrum's precision
-    return scipy.fft.ifft2(spectrum).real
-
-
 def _capture(token: TokenModel, field: np.ndarray, mean_intensity: float,
              noise: NoiseParams, bit_depth: int, rng) -> np.ndarray:
     """Capture tail of ``respond``: grain, intensity, additive noise, quantization.
@@ -423,14 +400,6 @@ def _capture(token: TokenModel, field: np.ndarray, mean_intensity: float,
     img = np.square(field.real)
     img += np.square(field.imag)
     img *= np.float32(qmax / (_HEADROOM * mean_intensity))
-    if noise.vibration_prob > 0 and noise.vibration_amp > 0:
-        if rng.random() < noise.vibration_prob:
-            # mechanical resonance: an excited mount rings at a fixed
-            # amplitude, so the excursion concentrates near the nominal
-            # value (+-20% hard limit) with a uniformly random direction
-            amp = noise.vibration_amp * float(np.clip(rng.normal(1.0, 0.1), 0.8, 1.2))
-            theta = rng.uniform(0.0, 2.0 * np.pi)
-            img = _translate(img, amp * np.sin(theta), amp * np.cos(theta))
     if noise.intensity_sigma > 0:
         img += np.float32(noise.intensity_sigma * qmax) * rng.standard_normal(
             img.shape, dtype=np.float32)
@@ -617,4 +586,7 @@ def load_pgm(path) -> np.ndarray:
     raw = data[start : start + rows * cols]
     if len(raw) < rows * cols:
         raise TruncatedError("PGM pixel data truncated")
-    return np.frombuffer(raw, dtype=np.uint8).reshape(rows, cols)
+    px = np.frombuffer(raw, dtype=np.uint8).reshape(rows, cols)
+    if px.max() > maxval:
+        raise FormatError(f"PGM sample {px.max()} exceeds maxval {maxval}")
+    return px

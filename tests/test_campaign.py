@@ -17,7 +17,6 @@ from photonpuf.campaign import (
     unclonability,
     unpredictability,
 )
-from photonpuf.hashing import rbm_helper
 from photonpuf.token import NoiseParams, new_token, random_pattern, respond
 
 
@@ -80,7 +79,7 @@ def test_unclonability_counts():
 def test_hash_report_attached_when_configured():
     chal = random_pattern((8, 8), 1)
     images = robustness(small_token(3), chal, mild_noise(), 4)
-    res = score("robustness", images, rbm_helper((48, 48), 128, 0))
+    res = score("robustness", images, 128)
     # the report files' headers keep the metric names
     assert {name: report.metric for name, report in res.items()} == {
         "euclidean": "euclidean",
