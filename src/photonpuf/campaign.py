@@ -67,7 +67,7 @@ def unclonability(token: TokenModel, challenge, other_token_seeds, noise: NoiseP
         raise ValueError(f"other token seeds include the reference seed {token.token_seed}")
     images = [respond(token, challenge, noise)]
     for i, seed in enumerate(other_token_seeds, start=1):
-        # one other token alive at a time: a default token holds 32 MiB
+        # one other token alive at a time: a default token holds 15.7 MiB, 32 MiB while built
         other = replace(token, token_seed=seed)
         images.append(respond(other, challenge, noise.with_seed(noise.noise_seed + i)))
     return images

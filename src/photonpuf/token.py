@@ -5,10 +5,20 @@ A token is a random complex transmission tensor: one complex field per
 token seed. Illuminating a subset of challenge pixels superimposes the
 corresponding rows coherently; the camera sees the squared magnitude. That
 minimal model already produces fully developed speckle (exponential intensity
-statistics) and exact field superposition between challenges. The tensor is
-stored as one read-only complex64 table per token (32 MiB at the default
-geometry), one contiguous row per challenge pixel; a capture stays in single
-precision from the sum of its lit rows to quantization.
+statistics) and exact field superposition between challenges.
+
+The speckle grain is a Gaussian low-pass on each row, and a field passed
+through it is band-limited by its aperture (Goodman, *Speckle Phenomena in
+Optics*, ch. 4). So the tensor is stored in the pupil domain: each drawn row
+is transformed once, multiplied by the grain's transfer function, and only
+the bins holding all but ``_BAND_LOSS`` of that function's power are kept,
+about half of them at the default grain. One read-only complex64 table per
+token (15.7 MiB at the default geometry) holds one contiguous row of band
+bins per challenge pixel. A capture adds up its lit rows in the band,
+scatters the sum into an otherwise empty spectrum and takes one inverse
+transform to the camera, in single precision from the sum to quantization.
+A grainless token keeps every bin with a unit transfer function, so the same
+path serves it.
 
 Wavelength is a second challenge axis: the per-pixel field evolves with
 wavelength as a stationary Gauss-Markov (Ornstein-Uhlenbeck) process,
@@ -24,11 +34,13 @@ decorrelates the medium: each capture sees ``T' = c T + sqrt(1 - c^2) W``,
 ``c = exp(-sigma^2 / 2)``, with ``W`` a fresh i.i.d. unit circular Gaussian
 matrix (Goodman, *Speckle Phenomena in Optics*). Summed over ``R`` lit rows
 that is exactly ``c * sum_r a_r + sqrt((1 - c^2) R) w``, one unit complex
-normal ``w`` per camera pixel, so a capture adds up only the lit rows of the
-table and draws one complex normal per pixel. The field correlation with the
-noiseless capture is ``c``, the intensity correlation ``exp(-sigma^2)``.
-Grain, additive camera noise on the scaled intensity and quantization
-follow.
+normal ``w`` per camera pixel. The unnormalized DFT of white CN(0, 1) over
+``N`` pixels is white CN(0, N), so after the grain filter ``w`` is one
+complex normal per band bin scaled by ``sqrt(N)`` times the transfer
+function there: a capture adds up only the lit rows of the table and draws
+one complex normal per kept bin. The field correlation with the noiseless
+capture is ``c``, the intensity correlation ``exp(-sigma^2)``. Additive
+camera noise on the scaled intensity and quantization follow.
 """
 
 from __future__ import annotations
@@ -87,9 +99,16 @@ _HEADROOM = 4.0
 # extra phase spread per degree C of thermal offset, radians
 _DRIFT_COEFF = 0.2
 
+# largest share of the grain filter's power a token's band may leave out
+_BAND_LOSS = 1e-6
+
 # most field tensor elements (grid x camera pixels) a token may have: about
-# 4x the default 256 x 16384, 8 bytes each in the complex64 table (128 MiB at
-# the limit), so a hostile token file cannot demand gigabytes
+# 4x the default 256 x 16384, so a hostile token file cannot demand
+# gigabytes. A build holds the complex64 band table (8 bytes per kept bin)
+# and, until each row's imaginary draw, its float32 real parts (4 bytes per
+# element); when the band is at least half the bins, as on a grainless
+# token, those wait in the table's own tail. So a build peaks below 8 bytes
+# per element, 128 MiB at the limit
 MAX_FIELD_ELEMENTS = 2 ** 24
 
 _TAG_FIELD = 0x1A57
@@ -193,16 +212,20 @@ class NoiseParams:
 class TokenModel:
     """An instantiated token: seed, geometry and the realized field tensor.
 
-    ``field_tensor`` is a read-only, C-contiguous complex64 table of shape
-    ``(n_grid, n_out)``, one row per modulator pixel holding its field at
-    each camera pixel. The field is a float64 circular Gaussian draw, scaled
-    by ``1/sqrt(2)`` and rounded once to complex64; ``grain_kernel``, the
-    grain filter's transfer function, is float32, so captures run in single
-    precision from the table on. The table is fully
-    determined by (token_seed, kind, grid_dims, out_dims); two constructions
-    from the same parameters are identical. Instances are frozen (every
-    query is a pure function of the descriptor) and safe to share across
-    threads; equality and hashing are by the six descriptor fields, and
+    The field tensor is held in the pupil domain. ``band`` holds the
+    ascending flat indices of the ``out_dims`` spectrum bins that keep all
+    but ``_BAND_LOSS`` of the grain filter's power (every bin on a grainless
+    token), and ``band_kernel`` the filter's float32 transfer function there,
+    of unit mean power over all bins. ``field_tensor`` is a read-only,
+    C-contiguous complex64 table of shape ``(n_grid, band.size)``: row ``r``
+    is the unnormalized ``fft2`` of modulator pixel ``r``'s field at the
+    camera, taken at the band and multiplied by ``band_kernel / sqrt(2)``.
+    That field's real and imaginary parts are float64 standard normal draws,
+    real parts of every row first, each cast once to float32.
+    Everything is fully determined by the descriptor; two constructions from
+    the same parameters are identical. Instances are frozen (every query is
+    a pure function of the descriptor) and safe to share across threads;
+    equality and hashing are by the six descriptor fields, and
     ``dataclasses.replace`` realizes a new token.
     """
 
@@ -213,7 +236,8 @@ class TokenModel:
     wl_decorrelation_length: float
     speckle_grain: float
     field_tensor: np.ndarray = field(init=False, repr=False, compare=False)
-    grain_kernel: np.ndarray | None = field(init=False, repr=False, compare=False)
+    band: np.ndarray = field(init=False, repr=False, compare=False)
+    band_kernel: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         # the descriptor in canonical types: equality, hashing and token_id read it
@@ -241,30 +265,47 @@ class TokenModel:
             # a wider grain leaves one speckle on the camera (and overflows its kernel)
             raise ValueError(f"speckle grain must be in 0..{max(self.out_dims)} pixels")
 
+        # gaussian transfer function of the speckle grain, unit mean power; the
+        # weakest bins whose summed power is at most _BAND_LOSS of the total go,
+        # equal ones together, so a flat (grainless) kernel keeps every bin
+        fy = scipy.fft.fftfreq(self.out_dims[0])
+        fx = scipy.fft.fftfreq(self.out_dims[1])
+        h = np.exp(-2.0 * np.pi ** 2 * self.speckle_grain ** 2
+                   * (fy[:, None] ** 2 + fx[None, :] ** 2)).ravel()
+        h /= np.sqrt(np.mean(h ** 2))
+        power = np.sort(h ** 2)
+        weakest_kept = power[np.searchsorted(np.cumsum(power), _BAND_LOSS * power.sum(),
+                                             side="right")]
+        band = np.flatnonzero(h ** 2 >= weakest_kept)
+        object.__setattr__(self, "band", frozen_array(band, np.intp))
+        object.__setattr__(self, "band_kernel", frozen_array(h[band], np.float32))
+
         rng = np.random.default_rng(
             np.random.SeedSequence(
                 [self.token_seed, _KIND_CODE[self.kind], *self.grid_dims, *self.out_dims,
                  _TAG_FIELD]
             )
         )
-        field_tensor = np.empty((n_grid, n_out), dtype=np.complex64)
-        for part in (field_tensor.real, field_tensor.imag):
-            # float64 draws scaled in float64, rounded once to float32; a row at a
-            # time reads the same stream and holds no float64 copy of the part
-            for row in part:
-                np.divide(rng.standard_normal(n_out), np.sqrt(2.0), out=row)
+        field_tensor = np.empty((n_grid, band.size), dtype=np.complex64)
+        # every row's real part is drawn before any imaginary part. Where the
+        # band is at least half the bins the float32 real parts wait in the
+        # table's tail: row r's band ends before row r + 1's real part begins
+        if 2 * band.size >= n_out:
+            real = field_tensor.view(np.float32).reshape(-1)[-n_grid * n_out:]
+        else:
+            real = np.empty(n_grid * n_out, dtype=np.float32)
+        real = real.reshape(n_grid, n_out)
+        for row in real:
+            row[...] = rng.standard_normal(n_out)
+        scale = (h[band] / np.sqrt(2.0)).astype(np.float32)
+        pixels = np.empty(self.out_dims, dtype=np.complex64)
+        for r in range(n_grid):
+            pixels.real = real[r].reshape(self.out_dims)
+            pixels.imag = rng.standard_normal(self.out_dims)
+            spectrum = scipy.fft.fft2(pixels, overwrite_x=True).reshape(-1)
+            np.multiply(spectrum[band], scale, out=field_tensor[r])
         field_tensor.flags.writeable = False
         object.__setattr__(self, "field_tensor", field_tensor)
-
-        # gaussian transfer function of the speckle grain, unit mean power
-        kernel = None
-        if self.speckle_grain > 0:
-            fy = scipy.fft.fftfreq(self.out_dims[0])
-            fx = scipy.fft.fftfreq(self.out_dims[1])
-            h = np.exp(-2.0 * np.pi ** 2 * self.speckle_grain ** 2
-                       * (fy[:, None] ** 2 + fx[None, :] ** 2))
-            kernel = frozen_array(h / np.sqrt(np.mean(h ** 2)), np.float32)
-        object.__setattr__(self, "grain_kernel", kernel)
 
 
 def new_token(token_seed, kind="diffuser", grid_dims=(16, 16), out_dims=(128, 128),
@@ -299,10 +340,10 @@ def _lit_rows(token: TokenModel, challenge: PixelPattern) -> np.ndarray:
 
 
 def _lit_sum(token: TokenModel, lit: np.ndarray) -> np.ndarray:
-    """Complex64 field sum of the lit rows of ``token.field_tensor``.
+    """Complex64 band spectrum of the lit rows: their sum in ``token.field_tensor``.
 
     Each add is one single-threaded ufunc call that releases the GIL and
-    reads one contiguous lit row; the sum equals
+    reads one contiguous lit row of band bins; the sum equals
     ``field_tensor[lit].sum(axis=0)`` and is returned as it is, for the rest
     of the capture to stay in single precision.
     """
@@ -313,15 +354,21 @@ def _lit_sum(token: TokenModel, lit: np.ndarray) -> np.ndarray:
     return acc
 
 
-def pattern_field(token: TokenModel, challenge: PixelPattern) -> np.ndarray:
-    """Noise-free complex field at the camera for a spatial challenge.
+def _camera_field(token: TokenModel, band_spectrum: np.ndarray) -> np.ndarray:
+    """Complex64 camera field of a band spectrum: scattered into an empty spectrum, one ifft2."""
+    spectrum = np.zeros(token.out_dims, dtype=np.complex64)
+    spectrum.reshape(-1)[token.band] = band_spectrum
+    return scipy.fft.ifft2(spectrum, overwrite_x=True)
 
-    Pure superposition of the stored per-pixel fields; linear in the mask,
-    so disjoint masks add: field(a | b) == field(a) + field(b).
+
+def pattern_field(token: TokenModel, challenge: PixelPattern) -> np.ndarray:
+    """Noise-free complex64 field at the camera for a spatial challenge.
+
+    The sum of the lit rows' band spectra, taken to the camera: the field a
+    noiseless capture squares. Linear in the mask up to single-precision
+    rounding, so disjoint masks add: field(a | b) ~= field(a) + field(b).
     """
-    lit = _lit_rows(token, challenge)
-    field = _lit_sum(token, lit).astype(np.complex128)
-    return field.reshape(token.out_dims)
+    return _camera_field(token, _lit_sum(token, _lit_rows(token, challenge)))
 
 
 def _bridge_levels(decorrelation_pm: float) -> int:
@@ -385,24 +432,19 @@ def wavelength_field(token: TokenModel, challenge: Wavelength) -> np.ndarray:
 
 def _capture(token: TokenModel, field: np.ndarray, mean_intensity: float,
              noise: NoiseParams, bit_depth: int, rng) -> np.ndarray:
-    """Capture tail of ``respond``: grain, intensity, additive noise, quantization.
+    """Capture tail of ``respond``: intensity, additive noise, quantization.
 
+    ``field`` is the complex64 camera field of ``token``, grain included.
     Returns the quantized 2-D pixel array: uint8 up to 8 bits, uint16 above.
-    The field is cast to complex64 once, and every step after it runs in
-    single precision. The grain filter goes through ``scipy.fft``, which
-    transforms complex64 as complex64 on every supported numpy version;
-    ``numpy.fft`` on numpy 1.x promotes it to complex128.
+    Every step runs in single precision.
     """
-    field = field.astype(np.complex64, copy=False)
-    if token.grain_kernel is not None:
-        field = scipy.fft.ifft2(scipy.fft.fft2(field) * token.grain_kernel)
     qmax = (1 << bit_depth) - 1
     img = np.square(field.real)
     img += np.square(field.imag)
     img *= np.float32(qmax / (_HEADROOM * mean_intensity))
     if noise.intensity_sigma > 0:
         img += np.float32(noise.intensity_sigma * qmax) * rng.standard_normal(
-            img.shape, dtype=np.float32)
+            token.out_dims, dtype=np.float32)
     px = np.clip(np.floor(img + np.float32(0.5)), 0, qmax)
     return px.astype(np.uint8 if bit_depth <= 8 else np.uint16)
 
@@ -415,14 +457,17 @@ def respond(token: TokenModel, challenge: Challenge, noise: NoiseParams | None =
             bit_depth: int = 8) -> np.ndarray:
     """Capture the speckle image for a pixel-mask or wavelength challenge.
 
-    A mask sums its lit rows of ``token.field_tensor`` and reads no unlit
-    row; a wavelength is one row. Drift then keeps ``c = exp(-sigma^2 / 2)``
-    of that field and adds one circular Gaussian per camera pixel of power
-    ``(1 - c^2) R`` for ``R`` rows, the decorrelated part of every lit row.
-    ``_capture`` then scales by the row count (at least 1) and quantizes to
-    ``bit_depth`` bits (1..16). The result is a fresh 2-D pixel array of
-    shape ``token.out_dims``, uint8 up to 8 bits and uint16 above, held by
-    the caller alone.
+    Everything up to the camera runs on the token's band. A mask sums its lit
+    rows of ``token.field_tensor`` and reads no unlit row; a wavelength is
+    one row, its field transformed into the band. Drift then keeps
+    ``c = exp(-sigma^2 / 2)`` of that spectrum and adds one circular Gaussian
+    per band bin of power ``(1 - c^2) R N`` for ``R`` rows and ``N`` camera
+    pixels, times the grain's transfer function: the decorrelated part of
+    every lit row, filtered. The spectrum is scattered into the full one for
+    one inverse transform, and ``_capture`` then scales by the row count (at
+    least 1) and quantizes to ``bit_depth`` bits (1..16). The result is a
+    fresh 2-D pixel array of shape ``token.out_dims``, uint8 up to 8 bits and
+    uint16 above, held by the caller alone.
     Identical inputs (including noise_seed) give bit-identical images, and
     with all noise magnitudes zero the capture is a pure function of token
     and challenge.
@@ -434,18 +479,20 @@ def respond(token: TokenModel, challenge: Challenge, noise: NoiseParams | None =
     rng = _noise_rng(noise)
     sigma_phi = noise.phase_sigma_total
     if isinstance(challenge, Wavelength):
-        n_rows, field = 1, wavelength_field(token, challenge).ravel()
+        pixels = wavelength_field(token, challenge).astype(np.complex64)
+        full = scipy.fft.fft2(pixels, overwrite_x=True).reshape(-1)
+        n_rows, spectrum = 1, full[token.band] * token.band_kernel
     else:
         lit = _lit_rows(token, challenge)
-        n_rows, field = lit.size, _lit_sum(token, lit)
+        n_rows, spectrum = lit.size, _lit_sum(token, lit)
     if sigma_phi > 0:
         c = math.exp(-0.5 * sigma_phi * sigma_phi)
-        # per complex component: half of (1 - c^2) * R
-        spread = np.float32(math.sqrt(0.5 * (1.0 - c * c) * n_rows))
-        drift = rng.standard_normal(2 * field.size, dtype=np.float32).view(np.complex64)
-        field = np.float32(c) * field.astype(np.complex64, copy=False) + spread * drift
-    field = field.reshape(token.out_dims)
-    return _capture(token, field, max(n_rows, 1), noise, bit_depth, rng)
+        # per complex component of a bin: half of (1 - c^2) * R * N, times the kernel
+        n_out = token.out_dims[0] * token.out_dims[1]
+        spread = np.float32(math.sqrt(0.5 * (1.0 - c * c) * n_rows * n_out))
+        drift = rng.standard_normal(2 * spectrum.size, dtype=np.float32).view(np.complex64)
+        spectrum = np.float32(c) * spectrum + (spread * token.band_kernel) * drift
+    return _capture(token, _camera_field(token, spectrum), max(n_rows, 1), noise, bit_depth, rng)
 
 
 def random_pattern(grid_dims, rng_seed, on_fraction=0.5) -> PixelPattern:

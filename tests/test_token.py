@@ -3,7 +3,9 @@
 The oracles here are analytic speckle properties: fully developed speckle has
 exponential intensity statistics, the intensity correlation between two
 captures equals the squared magnitude of their field correlation, and pixel
-superposition is exact linearity in the transmission rows.
+superposition is exact linearity in the transmission rows. The rows are held
+in the pupil domain, band-limited by the grain filter, so the reference for a
+capture is the full-spectrum one: drawn rows summed, filtered, squared.
 """
 
 import copy
@@ -55,14 +57,14 @@ def test_token_is_frozen():
     # a token shared across threads refuses every change, so its id always names its field
     t = make_token(seed=5, grain=1.5)
     tid, field = tok.token_id(t), t.field_tensor.copy()
-    for name in ("token_seed", "kind", "out_dims", "grain_kernel", "field_tensor"):
+    for name in ("token_seed", "kind", "out_dims", "band", "band_kernel", "field_tensor"):
         with pytest.raises(AttributeError):
             setattr(t, name, 99)
         with pytest.raises(AttributeError):
             delattr(t, name)
     assert t.token_seed == 5 and tok.token_id(t) == tid
     assert np.array_equal(t.field_tensor, field)
-    assert not t.grain_kernel.flags.writeable
+    assert not t.band.flags.writeable and not t.band_kernel.flags.writeable
 
 
 def test_kind_changes_realization():
@@ -84,55 +86,98 @@ def test_capture_reproducible_per_noise_seed():
 
 # ---------------------------------------------------------------- field physics
 
+def scatter(t, band_spectrum, dtype=np.complex64):
+    """The full ``out_dims`` spectrum holding ``band_spectrum`` at the band, zero elsewhere."""
+    spectrum = np.zeros(t.out_dims, dtype=dtype)
+    spectrum.reshape(-1)[t.band] = band_spectrum
+    return spectrum
+
+
 def test_single_pixel_field_is_tensor_row():
-    t = make_token()
+    # one lit pixel's camera field is its row taken back from the band, and
+    # holds no power outside the band
+    t = make_token(grain=1.5)
     idx = 13
     field = tok.pattern_field(t, mask_from_indices(t.grid_dims, [idx]))
-    assert np.allclose(field.ravel(), t.field_tensor[idx])
+    row = t.field_tensor[idx].astype(np.complex128)
+    assert np.allclose(field, np.fft.ifft2(scatter(t, row, np.complex128)), rtol=0, atol=1e-6)
+    spectrum = np.fft.fft2(field.astype(np.complex128)).reshape(-1)
+    assert np.allclose(spectrum[t.band], row, rtol=0, atol=1e-4)
+    outside = np.setdiff1d(np.arange(spectrum.size), t.band)
+    assert np.max(np.abs(spectrum[outside])) < 1e-4
 
 
 def test_superposition_is_exact():
-    # the response to a multi-pixel pattern is the coherent sum of the rows
-    t = make_token()
+    # the response to a multi-pixel pattern is the coherent sum of the rows,
+    # taken to the camera by one inverse transform
+    t = make_token(grain=1.5)
     on = RNG.choice(64, size=17, replace=False)
     field = tok.pattern_field(t, mask_from_indices(t.grid_dims, on))
     oracle = t.field_tensor[np.sort(on)].sum(axis=0)
-    assert np.array_equal(field.ravel(), oracle)
+    assert np.array_equal(field, scipy.fft.ifft2(scatter(t, oracle)))
 
 
 def test_field_tensor_is_one_read_only_contiguous_complex64_table():
-    # one complex64 table per token, one contiguous row per modulator pixel
-    t = make_token()
-    assert t.field_tensor.shape == (64, 64 * 64) and t.field_tensor.dtype == np.complex64
+    # one complex64 table per token, one contiguous row of band bins per
+    # modulator pixel; the band is ascending flat indices into the spectrum
+    t = make_token(grain=1.5)
+    n_band = t.band.size
+    assert 0 < n_band < 64 * 64
+    assert t.field_tensor.shape == (64, n_band) and t.field_tensor.dtype == np.complex64
     assert t.field_tensor.flags.c_contiguous and not t.field_tensor.flags.writeable
+    assert np.all(np.diff(t.band) > 0) and 0 <= t.band[0] and t.band[-1] < 64 * 64
+    assert t.band_kernel.shape == (n_band,) and t.band_kernel.dtype == np.float32
 
 
 def test_rows_are_the_float64_draw_rounded_once():
-    # the same realization as a float64 table: the field is draw / sqrt(2) in
-    # float64, real parts first, then imaginary, each rounded once to float32
-    t = make_token(seed=9)
-    n_grid, n_out = t.field_tensor.shape
+    # the same realization as the float64 table: real parts first, then
+    # imaginary, each rounded once to float32; a row is then transformed in
+    # single precision and taken at the band times kernel / sqrt(2)
+    t = make_token(seed=9, grain=1.5)
+    n_grid, n_out = t.grid_dims[0] * t.grid_dims[1], t.out_dims[0] * t.out_dims[1]
     rng = np.random.default_rng(np.random.SeedSequence(
         [9, tok._KIND_CODE["diffuser"], *t.grid_dims, *t.out_dims, tok._TAG_FIELD]))
-    real = rng.standard_normal((n_grid, n_out)) / np.sqrt(2.0)
-    imag = rng.standard_normal((n_grid, n_out)) / np.sqrt(2.0)
-    assert np.array_equal(t.field_tensor.real, real.astype(np.float32))
-    assert np.array_equal(t.field_tensor.imag, imag.astype(np.float32))
+    real = rng.standard_normal((n_grid, n_out)).astype(np.float32)
+    imag = rng.standard_normal((n_grid, n_out)).astype(np.float32)
+    scale = (grain_kernel(t).reshape(-1)[t.band] / np.sqrt(2.0)).astype(np.float32)
+    for r in range(n_grid):
+        pixels = (real[r] + 1j * imag[r]).astype(np.complex64).reshape(t.out_dims)
+        row = scipy.fft.fft2(pixels).reshape(-1)[t.band] * scale
+        assert row.dtype == np.complex64
+        assert np.array_equal(t.field_tensor[r], row)
 
 
-def test_default_token_table_is_32_mib():
-    assert tok.new_token(1).field_tensor.nbytes == 32 * 2 ** 20
+def test_default_token_table_is_under_16_mib():
+    # the band of the default 1.5 px grain keeps under half of the 16 384
+    # bins, so the table is under half the 32 MiB a spatial one takes
+    t = tok.new_token(1)
+    assert t.field_tensor.nbytes == 256 * t.band.size * 8 < 16 * 2 ** 20
+
+
+def build_peak(**kw):
+    tracemalloc.start()
+    try:
+        t = tok.new_token(1, **kw)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return t, peak
 
 
 def test_token_build_holds_no_second_copy_of_the_table():
     # the float64 draws come one row at a time, so building a default token
-    # peaks near its table's bytes, not at twice them
-    tracemalloc.start()
-    try:
-        t = tok.new_token(1)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    # peaks near the bytes of a complex64 table over every camera pixel
+    # (float32 real parts plus the band table), not at twice them
+    t, peak = build_peak()
+    assert peak < 1.25 * t.field_tensor.shape[0] * t.out_dims[0] * t.out_dims[1] * 8
+
+
+def test_grainless_build_keeps_its_real_parts_in_the_table():
+    # a grainless token keeps every bin; its float32 real parts wait in the
+    # table's own tail, so its build peaks near the table's bytes, the most
+    # a token file can demand per element
+    t, peak = build_peak(speckle_grain=0.0)
+    assert t.band.size == t.out_dims[0] * t.out_dims[1]
     assert peak < 1.25 * t.field_tensor.nbytes
 
 
@@ -149,12 +194,13 @@ def test_token_descriptor_rejected(args, match):
 
 
 def test_single_precision_field_sum_is_close_to_double():
-    t = make_token(seed=3)
+    t = make_token(seed=3, grain=1.5)
     for on in (RNG.choice(64, size=40, replace=False), np.arange(64)):
         field = tok.pattern_field(t, mask_from_indices(t.grid_dims, on))
-        exact = t.field_tensor[np.sort(on)].astype(np.complex128).sum(axis=0)
-        assert field.dtype == np.complex128
-        assert np.max(np.abs(field.ravel() - exact)) <= 1e-5 * np.max(np.abs(exact))
+        rows = t.field_tensor[np.sort(on)].astype(np.complex128).sum(axis=0)
+        exact = np.fft.ifft2(scatter(t, rows, np.complex128))
+        assert field.dtype == np.complex64
+        assert np.max(np.abs(field - exact)) <= 1e-5 * np.max(np.abs(exact))
 
 
 def grain_kernel(t):
@@ -164,13 +210,11 @@ def grain_kernel(t):
     return h / np.sqrt((h**2).mean())
 
 
-def manual_tail(t, field, n_rows, bit_depth, dtype=np.complex64, camera_noise=None):
-    """Low-pass with the grain kernel, square, scale to quarter range, add
-    camera noise, round: every step in the precision of ``dtype``."""
+def manual_tail(t, spectrum, n_rows, bit_depth, dtype=np.complex64, camera_noise=None):
+    """Take a band spectrum to the camera, square, scale to quarter range,
+    add camera noise, round: every step in the precision of ``dtype``."""
     real = np.float32 if dtype == np.complex64 else np.float64
-    field = field.astype(dtype).reshape(t.out_dims)
-    if t.speckle_grain > 0:
-        field = scipy.fft.ifft2(scipy.fft.fft2(field) * grain_kernel(t).astype(real))
+    field = scipy.fft.ifft2(scatter(t, spectrum.astype(dtype), dtype))
     qmax = 2**bit_depth - 1
     img = (field.real**2 + field.imag**2) * real(qmax / (4.0 * n_rows))
     if camera_noise is not None:
@@ -181,29 +225,30 @@ def manual_tail(t, field, n_rows, bit_depth, dtype=np.complex64, camera_noise=No
 def test_capture_after_the_sum_stays_single_precision():
     # rows on a 1/16 grid add up exactly in float32, in any order, so a
     # reconstruction that holds every array in complex64 or float32 pins
-    # drift, grain filter, camera noise and quantization to single precision
-    # on any numpy version: one promotion to double moves 16-bit pixels
+    # drift, inverse transform, camera noise and quantization to single
+    # precision on any numpy version: one promotion to double moves 16-bit pixels
     t = copy.copy(make_token(seed=8, grain=1.5))
     grid = np.round(np.clip(t.field_tensor.view(np.float32), -4, 4) * 16) / 16
     object.__setattr__(t, "field_tensor", grid.astype(np.float32).view(np.complex64))
     qmax = 2**16 - 1
+    n_out = t.out_dims[0] * t.out_dims[1]
     for on in ([5], [3, 17, 40], list(range(0, 64, 2))):  # ascending, as lit rows are
         chal = mask_from_indices(t.grid_dims, on)
         for noise in (tok.NoiseParams.none(), tok.NoiseParams().with_seed(4)):
             rng = tok._noise_rng(noise)
             sigma = noise.phase_sigma_total
-            field = t.field_tensor[on].sum(axis=0)
+            spectrum = t.field_tensor[on].sum(axis=0)
             if sigma > 0:
                 c = math.exp(-0.5 * sigma * sigma)
-                spread = np.float32(math.sqrt(0.5 * (1.0 - c * c) * len(on)))
-                drift = rng.standard_normal(field.size * 2, dtype=np.float32).view(np.complex64)
-                field = np.float32(c) * field + spread * drift
+                spread = np.float32(math.sqrt(0.5 * (1.0 - c * c) * len(on) * n_out))
+                drift = rng.standard_normal(spectrum.size * 2, dtype=np.float32).view(np.complex64)
+                spectrum = np.float32(c) * spectrum + (spread * t.band_kernel) * drift
             camera = None
             if noise.intensity_sigma > 0:
                 camera = np.float32(noise.intensity_sigma * qmax) * rng.standard_normal(
                     t.out_dims, dtype=np.float32)
-            assert field.dtype == np.complex64
-            expected = manual_tail(t, field, len(on), 16, camera_noise=camera)
+            assert spectrum.dtype == np.complex64
+            expected = manual_tail(t, spectrum, len(on), 16, camera_noise=camera)
             assert np.array_equal(tok.respond(t, chal, noise, bit_depth=16), expected)
 
 
@@ -212,16 +257,51 @@ def test_capture_after_the_sum_stays_single_precision():
 @pytest.mark.parametrize("on", [[3, 40, 17], list(range(0, 64, 2))], ids=["3-rows", "half"])
 def test_capture_pipeline_matches_manual_recomputation(on, grain, bit_depth):
     # independent reconstruction of the noiseless capture: superpose rows,
-    # low-pass with the grain kernel, square, scale to quarter range, round
+    # take them to the camera, square, scale to quarter range, round
     t = make_token(seed=6, grain=grain)
     img = tok.respond(t, mask_from_indices(t.grid_dims, on), noise=tok.NoiseParams.none(),
                       bit_depth=bit_depth)
     # rows add up in the table's single precision, and the rest stays there
-    field = t.field_tensor[np.sort(on)].sum(axis=0)
-    assert np.array_equal(img, manual_tail(t, field, len(on), bit_depth))
+    spectrum = t.field_tensor[np.sort(on)].sum(axis=0)
+    assert np.array_equal(img, manual_tail(t, spectrum, len(on), bit_depth))
     # against the same capture in double precision, rounding moves a pixel by at most 1
-    double = manual_tail(t, field, len(on), bit_depth, dtype=np.complex128)
+    double = manual_tail(t, spectrum, len(on), bit_depth, dtype=np.complex128)
     assert np.abs(img - double).max() <= 1
+
+
+def full_spectrum_capture(t, on, bit_depth=8):
+    """The capture of a spatially stored token, in double precision: the
+    drawn rows summed, filtered by the whole grain kernel, squared, rounded."""
+    n_grid, n_out = t.grid_dims[0] * t.grid_dims[1], t.out_dims[0] * t.out_dims[1]
+    rng = np.random.default_rng(np.random.SeedSequence(
+        [t.token_seed, tok._KIND_CODE[t.kind], *t.grid_dims, *t.out_dims, tok._TAG_FIELD]))
+    real = rng.standard_normal((n_grid, n_out)) / np.sqrt(2.0)
+    imag = rng.standard_normal((n_grid, n_out)) / np.sqrt(2.0)
+    field = (real[on] + 1j * imag[on]).sum(axis=0).reshape(t.out_dims)
+    field = np.fft.ifft2(np.fft.fft2(field) * grain_kernel(t))
+    qmax = 2**bit_depth - 1
+    return np.clip(np.floor(np.abs(field) ** 2 * qmax / (4.0 * len(on)) + 0.5), 0, qmax)
+
+
+@pytest.mark.parametrize("grain", [0.0, 1.5])
+def test_band_capture_is_within_one_lsb_of_the_full_spectrum(grain):
+    # the band keeps all but _BAND_LOSS of the kernel's power, a grainless
+    # token every bin; what is left out moves a noiseless pixel by at most 1
+    t = make_token(seed=6, grain=grain)
+    n_out = t.out_dims[0] * t.out_dims[1]
+    kernel = grain_kernel(t).reshape(-1)
+    assert np.sum(kernel[t.band] ** 2) / n_out >= 1.0 - tok._BAND_LOSS
+    if grain == 0:
+        assert np.array_equal(t.band, np.arange(n_out))
+    else:
+        # every kept bin is at least as strong as every bin left out
+        outside = np.setdiff1d(np.arange(n_out), t.band)
+        assert kernel[t.band].min() >= kernel[outside].max()
+    for seed in (1, 2, 3):
+        chal = tok.random_pattern(t.grid_dims, seed)
+        img = tok.respond(t, chal, noise=tok.NoiseParams.none())
+        ref = full_spectrum_capture(t, np.flatnonzero(chal.mask))
+        assert np.abs(img.astype(np.int64) - ref).max() <= 1
 
 
 def test_empty_pattern_gives_dark_frame():
@@ -361,17 +441,22 @@ def test_noise_params_reject_out_of_range_values(field):
 # of its R rows, with variance v = (1 - c^2) R; its intensity then has mean
 # c^2 |S|^2 + v and variance v^2 + 2 c^2 |S|^2 v at every camera pixel
 
-@pytest.mark.parametrize("n_rows", [1, 3, 100, "wavelength"])
+@pytest.mark.parametrize("n_rows", [1, 3, 100, "wavelength", "grained"])
 def test_phase_drift_moments_match_per_element_monte_carlo(n_rows, monkeypatch):
     sigma, n_trials = 0.085, 400
     t = make_token(seed=40, grid=(16, 16), out=(32, 32))
+    kept = 1.0
+    if n_rows == "grained":
+        # the in-band drift keeps the kernel's power in the band, scaled by sqrt(N)
+        n_rows, t = 3, make_token(seed=40, grid=(16, 16), out=(32, 32), grain=1.5)
+        kept = np.sum(t.band_kernel.astype(np.float64) ** 2) / (32 * 32)
     if n_rows == "wavelength":
         n_rows, chal = 1, tok.Wavelength(1555.5)
         clean = tok.wavelength_field(t, chal).ravel()
     else:
         on = np.sort(np.random.default_rng(n_rows).choice(256, size=n_rows, replace=False))
         chal = mask_from_indices(t.grid_dims, on)
-        clean = t.field_tensor[on].sum(axis=0)
+        clean = tok.pattern_field(t, chal).ravel()
     # the pre-scale intensity: the drifted field as the capture tail receives it
     fields = []
     capture = tok._capture
@@ -388,6 +473,7 @@ def test_phase_drift_moments_match_per_element_monte_carlo(n_rows, monkeypatch):
     intensity = np.abs(np.stack(fields).astype(np.complex128)) ** 2
     c2 = math.exp(-sigma * sigma)
     v = (1.0 - c2) * n_rows
+    v *= kept
     mean = c2 * np.abs(clean) ** 2 + v
     var = v * v + 2.0 * (mean - v) * v
     got_mean = intensity.mean(axis=0)
