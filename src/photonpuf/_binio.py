@@ -3,6 +3,10 @@
 Every on-disk artifact in this package starts with a 4 byte magic string and is
 parsed through :class:`Reader` so that bad magic, unknown versions, short
 reads and trailing bytes surface as distinct exceptions.
+
+Keys, code offsets and random streams are flat 0/1 ``uint8`` arrays, written as
+the counted bit string: a u32 bit count, then the bits packed LSB first
+(``counted_bits``; read back by ``Reader.counted_bits`` and ``bits_from_bytes``).
 """
 
 from __future__ import annotations
@@ -12,6 +16,14 @@ import struct
 import numpy as np
 
 from .errors import BadMagicError, FormatError, TruncatedError, UnsupportedVersionError
+
+
+def as_bits(x) -> np.ndarray:
+    """A 0/1 sequence as a flat uint8 array; ``ValueError`` on any other value."""
+    bits = np.asarray(x, dtype=np.uint8).ravel()
+    if np.any(bits > 1):
+        raise ValueError("bits must be binary")
+    return bits
 
 
 def pack_bits(bits) -> bytes:
@@ -26,6 +38,20 @@ def unpack_bits(data: bytes, n: int) -> np.ndarray:
         raise TruncatedError(f"need {n} bits, got {len(data) * 8}")
     arr = np.unpackbits(np.frombuffer(data, dtype=np.uint8), bitorder="little")
     return arr[:n].copy()
+
+
+def counted_bits(bits) -> bytes:
+    """The counted bit string: u32 bit count, then the bits packed LSB first."""
+    bits = as_bits(bits)
+    return le("I", bits.size) + pack_bits(bits)
+
+
+def bits_from_bytes(data: bytes) -> np.ndarray:
+    """Inverse of :func:`counted_bits`; the blob must end with the bits."""
+    r = Reader(data)
+    bits = r.counted_bits()
+    r.expect_end("bit string")
+    return bits
 
 
 def frozen_array(x, dtype=None) -> np.ndarray:
@@ -58,6 +84,10 @@ class Reader:
     def unpack(self, fmt: str):
         vals = struct.unpack("<" + fmt, self.take(struct.calcsize("<" + fmt)))
         return vals[0] if len(vals) == 1 else vals
+
+    def counted_bits(self) -> np.ndarray:
+        n = self.unpack("I")
+        return unpack_bits(self.take(packed_size(n)), n)
 
     def expect_magic(self, magic: bytes, what: str):
         got = self.take(len(magic))

@@ -1,8 +1,8 @@
 """Robust binary hashing of speckle images: one random binary mapping.
 
-A camera frame, any 2-D array of pixel values, becomes a fixed-length bit
-key plus public helper data that lets the same key be re-derived from a
-noisy recapture. The standardized image is modulated by a random +-1
+A camera frame, any 2-D array of pixel values, becomes a fixed-length key,
+a flat 0/1 ``uint8`` array, plus public helper data that lets the same key
+be re-derived from a noisy recapture. The standardized image is modulated by a random +-1
 diagonal and transformed with a discrete Fourier transform, and a random
 subset of bins 1..N/2-1 is thresholded on the real part, which a real signal
 repeats at bins k and N-k. The randomness extractor is the same mapping
@@ -31,7 +31,6 @@ from ._binio import Reader, frozen_array, le, pack_bits, packed_size, unpack_bit
 from .errors import DegenerateImageError, FormatError
 
 __all__ = [
-    "BitKey",
     "RbmHelper",
     "standardize",
     "rbm_max_bins",
@@ -67,54 +66,6 @@ def standardize(image) -> np.ndarray:
     if std == 0:
         raise DegenerateImageError("image has zero variance, cannot standardize")
     return (arr - arr.mean()) / std
-
-
-def _as_bits(x) -> np.ndarray:
-    """The bits of a ``BitKey``, or a 0/1 sequence as a flat uint8 array."""
-    if isinstance(x, BitKey):
-        return x.bits
-    bits = np.asarray(x, dtype=np.uint8).ravel()
-    if np.any(bits > 1):
-        raise ValueError("bits must be binary")
-    return bits
-
-
-@dataclass(frozen=True, eq=False)
-class BitKey:
-    """Immutable bit string: a hash key or an extracted random stream.
-
-    The wire form is a u32 bit count followed by the bits packed LSB-first.
-    """
-
-    bits: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "bits", frozen_array(_as_bits(self.bits)))
-
-    @property
-    def key_len(self) -> int:
-        return int(self.bits.size)
-
-    def __len__(self):
-        return self.key_len
-
-    def __eq__(self, other):
-        return isinstance(other, BitKey) and np.array_equal(self.bits, other.bits)
-
-    def __hash__(self):
-        return hash((self.key_len, self.bits.tobytes()))
-
-    def to_bytes(self) -> bytes:
-        """Length-prefixed packed form; the digest input for fuzzy commitment."""
-        return le("I", self.key_len) + pack_bits(self.bits)
-
-    @classmethod
-    def from_bytes(cls, data: bytes) -> "BitKey":
-        r = Reader(data)
-        n = r.unpack("I")
-        bits = unpack_bits(r.take(packed_size(n)), n)
-        r.expect_end("bit string")
-        return cls(bits)
 
 
 # ----------------------------------------------------------------------
@@ -187,21 +138,21 @@ def rbm_project(image, helper: RbmHelper) -> np.ndarray:
     return z.real[np.minimum(helper.indices, helper.signs.size - helper.indices)]
 
 
-def hash_enroll(image, key_len: int, rng_seed: int) -> tuple[BitKey, RbmHelper]:
+def hash_enroll(image, key_len: int, rng_seed: int) -> tuple[np.ndarray, RbmHelper]:
     """Draw a helper for the image's geometry, then hash the image once."""
     arr = _as_pixels(image)
     helper = rbm_helper(arr.shape, key_len, rng_seed)
     return hash_apply(arr, helper), helper
 
 
-def hash_apply(image, helper: RbmHelper) -> BitKey:
-    """Re-derive the key for a (possibly noisy) image with a fixed helper.
+def hash_apply(image, helper: RbmHelper) -> np.ndarray:
+    """Re-derive the key, 0/1 uint8, for a (possibly noisy) image with a fixed helper.
 
     Bits are the ``rbm_project`` values thresholded at their own mean;
     values on the threshold map to 1.
     """
     vals = rbm_project(image, helper)
-    return BitKey((vals >= vals.mean()).astype(np.uint8))
+    return (vals >= vals.mean()).astype(np.uint8)
 
 
 # ----------------------------------------------------------------------

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._binio import as_bits
 from .errors import DegenerateImageError
-from .hashing import _as_bits
 
 __all__ = [
     "euclidean",
@@ -32,14 +32,14 @@ def euclidean(a, b) -> float:
 
 def hamming(a, b) -> int:
     """Number of differing bits."""
-    ba, bb = _as_bits(a), _as_bits(b)
+    ba, bb = as_bits(a), as_bits(b)
     if ba.size != bb.size:
         raise ValueError("length mismatch")
     return int(np.count_nonzero(ba != bb))
 
 
 def fractional_hamming(a, b) -> float:
-    ba = _as_bits(a)
+    ba = as_bits(a)
     return hamming(a, b) / ba.size
 
 

@@ -24,9 +24,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import bch
-from ._binio import Reader, frozen_array, le, pack_bits, packed_size, unpack_bits
+from ._binio import Reader, as_bits, counted_bits, frozen_array, le, packed_size, unpack_bits
 from .errors import FormatError
-from .hashing import BitKey, RbmHelper, hash_apply, hash_enroll, helper_from_bytes, helper_to_bytes
+from .hashing import RbmHelper, hash_apply, hash_enroll, helper_from_bytes, helper_to_bytes
 from .token import Challenge, PixelPattern, challenge_from_bytes, challenge_to_bytes
 
 __all__ = [
@@ -79,13 +79,13 @@ class EnrollmentRecord:
         object.__setattr__(self, "code_offset", offset)
 
 
-def key_digest(key: BitKey) -> bytes:
-    """SHA-256 over the length-prefixed packed key bits."""
-    return hashlib.sha256(key.to_bytes()).digest()
+def key_digest(key) -> bytes:
+    """SHA-256 over the key's counted bit string."""
+    return hashlib.sha256(counted_bits(key)).digest()
 
 
 def enroll(image, bch_params: bch.BchParams, token_id: bytes = b"\x00" * 16,
-           challenge: Challenge | None = None) -> tuple[BitKey, EnrollmentRecord]:
+           challenge: Challenge | None = None) -> tuple[np.ndarray, EnrollmentRecord]:
     """Enroll one capture; returns the (secret) enrollment key and the record.
 
     The capture is hashed with a fresh random binary mapping into a key of
@@ -98,7 +98,7 @@ def enroll(image, bch_params: bch.BchParams, token_id: bytes = b"\x00" * 16,
     # hash_enroll: a module global that perfbench/tracing.py wraps
     enroll_key, helper = hash_enroll(image, bch_params.n, secrets.randbits(64))
     secret = unpack_bits(secrets.token_bytes(packed_size(bch_params.k)), bch_params.k)
-    code_offset = enroll_key.bits ^ bch.encode(bch_params, secret)
+    code_offset = enroll_key ^ bch.encode(bch_params, secret)
     record = EnrollmentRecord(
         record_id=secrets.token_bytes(16),
         token_id=bytes(token_id),
@@ -111,30 +111,30 @@ def enroll(image, bch_params: bch.BchParams, token_id: bytes = b"\x00" * 16,
     return enroll_key, record
 
 
-def recover_key(auth_key: BitKey, record: EnrollmentRecord) -> tuple[BitKey, int] | None:
+def recover_key(auth_key, record: EnrollmentRecord) -> tuple[np.ndarray, int] | None:
     """Code-offset recovery from an already-hashed authentication key.
 
     Returns (recovered key, corrected bits) or None when decoding fails.
     If the authentication key is within distance t of the enrollment key the
     recovered key equals the enrollment key.
     """
-    if auth_key.key_len != record.bch_params.n:
+    auth_key = as_bits(auth_key)
+    if auth_key.size != record.bch_params.n:
         raise ValueError("key length does not match the record's code length")
-    noisy_codeword = auth_key.bits ^ record.code_offset
+    noisy_codeword = auth_key ^ record.code_offset
     decoded = bch.decode(record.bch_params, noisy_codeword)
     if decoded is None:
         return None
     secret, corrected = decoded
-    recovered = BitKey(record.code_offset ^ bch.encode(record.bch_params, secret))
-    return recovered, corrected
+    return record.code_offset ^ bch.encode(record.bch_params, secret), corrected
 
 
-def authenticate(image, record: EnrollmentRecord) -> tuple[BitKey, int] | None:
+def authenticate(image, record: EnrollmentRecord) -> tuple[np.ndarray, int] | None:
     """Hash a fresh capture with the stored helper and recover the key."""
     return recover_key(hash_apply(image, record.hash_helper), record)
 
 
-def verify(key: BitKey, record: EnrollmentRecord) -> bool:
+def verify(key, record: EnrollmentRecord) -> bool:
     """Accept iff the digest of the recovered key matches the record.
 
     The comparison runs in constant time, so its duration does not reveal
@@ -162,8 +162,7 @@ def record_to_bytes(record: EnrollmentRecord) -> bytes:
             helper_blob,
             le("I", len(bch_blob)),
             bch_blob,
-            le("I", record.code_offset.size),
-            pack_bits(record.code_offset),
+            counted_bits(record.code_offset),
             le("B", DIGEST_SHA256),
             record.key_digest,
         ]
@@ -179,8 +178,7 @@ def record_from_bytes(data: bytes) -> EnrollmentRecord:
     challenge = challenge_from_bytes(r.take(r.unpack("I")))
     helper = helper_from_bytes(r.take(r.unpack("I")))
     params = bch.params_from_bytes(r.take(r.unpack("I")))
-    n_bits = r.unpack("I")
-    code_offset = unpack_bits(r.take(packed_size(n_bits)), n_bits)
+    code_offset = r.counted_bits()
     digest_algo = r.unpack("B")
     if digest_algo != DIGEST_SHA256:
         raise FormatError(f"unsupported digest algo {digest_algo}")

@@ -10,7 +10,8 @@ plain mapping from sub-test label to p-value, for example
 ``{"serial_1": p1, "serial_2": p2}``; a stream passes a test when every
 p-value is at least alpha. ``battery`` runs all eight and maps each test
 name to its mapping. ``suite_report`` aggregates many streams into pass
-proportions plus a p-value uniformity check, in a row per test name.
+proportions plus a p-value uniformity check, in a mapping per test name.
+Streams and extracted bits are flat 0/1 ``uint8`` arrays.
 Passing the battery is a sanity check on the output, not evidence of
 entropy: a deterministic expansion of a short seed passes it too.
 
@@ -22,19 +23,18 @@ with fresh capture noise for every image, so each run draws fresh bits.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import erfc, gammaincc, ndtr
 
-from .hashing import BitKey, _as_bits, rbm_helper, rbm_project
+from ._binio import as_bits
+from .hashing import rbm_helper, rbm_project
 
 __all__ = [
     "battery",
     "extract_bits",
     "pvalue_uniformity",
     "suite_report",
-    "SuiteReport",
 ]
 
 ALPHA = 0.01
@@ -45,8 +45,8 @@ UNIFORMITY_FLOOR = 1e-4
 _EXTRACT_SEED = 0xEB17
 
 
-def extract_bits(images, bits_per_image: int) -> BitKey:
-    """Sign-quantize random Fourier projections of each image and concatenate.
+def extract_bits(images, bits_per_image: int) -> np.ndarray:
+    """Sign-quantize random Fourier projections of each image into 0/1 uint8 and concatenate.
 
     The mapping is the keyed hash's, ``rbm_helper(shape, bits_per_image,
     _EXTRACT_SEED)``, shared by every image, so the output is reproducible
@@ -59,7 +59,7 @@ def extract_bits(images, bits_per_image: int) -> BitKey:
     if not images:
         raise ValueError("need at least one image")
     helper = rbm_helper(images[0].shape, bits_per_image, _EXTRACT_SEED)
-    return BitKey(np.concatenate([rbm_project(img, helper) > 0.0 for img in images]))
+    return np.concatenate([rbm_project(img, helper) > 0.0 for img in images]).astype(np.uint8)
 
 
 # ----------------------------------------------------------------------
@@ -68,7 +68,7 @@ def extract_bits(images, bits_per_image: int) -> BitKey:
 
 def frequency(stream) -> dict[str, float]:
     """Monobit test: the +-1 sum should be near zero."""
-    b = _as_bits(stream)
+    b = as_bits(stream)
     n = b.size
     if n < 100:
         raise ValueError("frequency test needs at least 100 bits")
@@ -78,7 +78,7 @@ def frequency(stream) -> dict[str, float]:
 
 
 def block_frequency(stream, block_len: int | None = None) -> dict[str, float]:
-    b = _as_bits(stream)
+    b = as_bits(stream)
     n = b.size
     if block_len is None:
         block_len = max(20, n // 64)
@@ -104,7 +104,7 @@ def _cusum_p(z: int, n: int) -> float:
 
 def cumulative_sums(stream) -> dict[str, float]:
     """Random-walk excursions, scanned forward and backward."""
-    b = _as_bits(stream)
+    b = as_bits(stream)
     n = b.size
     if n < 100:
         raise ValueError("cumulative sums test needs at least 100 bits")
@@ -118,7 +118,7 @@ def cumulative_sums(stream) -> dict[str, float]:
 
 
 def runs(stream) -> dict[str, float]:
-    b = _as_bits(stream)
+    b = as_bits(stream)
     n = b.size
     if n < 100:
         raise ValueError("runs test needs at least 100 bits")
@@ -153,7 +153,7 @@ def _longest_one_run(row: np.ndarray) -> int:
 
 
 def longest_run(stream) -> dict[str, float]:
-    b = _as_bits(stream)
+    b = as_bits(stream)
     n = b.size
     if n < 128:
         raise ValueError("longest run test needs at least 128 bits")
@@ -176,7 +176,7 @@ def longest_run(stream) -> dict[str, float]:
 
 def fft_spectral(stream) -> dict[str, float]:
     """Peak density below the 95% threshold of the half spectrum."""
-    b = _as_bits(stream)
+    b = as_bits(stream)
     n = b.size
     if n < 1000:
         raise ValueError("spectral test needs at least 1000 bits")
@@ -202,7 +202,7 @@ def _pattern_counts(b: np.ndarray, m: int) -> np.ndarray:
 
 def approximate_entropy(stream, m: int | None = None) -> dict[str, float]:
     """Pattern entropy test; m defaults to 4, or the largest m below it that n allows."""
-    b = _as_bits(stream)
+    b = as_bits(stream)
     n = b.size
     if n < 100:
         raise ValueError("approximate entropy test needs at least 100 bits")
@@ -224,7 +224,7 @@ def approximate_entropy(stream, m: int | None = None) -> dict[str, float]:
 
 
 def serial(stream, m: int = 5) -> dict[str, float]:
-    b = _as_bits(stream)
+    b = as_bits(stream)
     n = b.size
     if n < 100:
         raise ValueError("serial test needs at least 100 bits")
@@ -275,31 +275,13 @@ def pvalue_uniformity(p_values) -> float:
     return float(gammaincc(4.5, chi2 / 2.0))
 
 
-@dataclass(frozen=True)
-class SuiteRow:
-    proportion: float
-    proportion_ok: bool
-    uniformity_p: float
-    uniformity_ok: bool
+def suite_report(streams, alpha: float = ALPHA) -> dict[str, dict]:
+    """Aggregate the battery over many streams, in battery order.
 
-
-@dataclass(frozen=True)
-class SuiteReport:
-    rows: dict  # test name -> SuiteRow, in battery order
-    n_streams: int
-    proportion_band: tuple
-
-    @property
-    def passed(self) -> bool:
-        return all(r.proportion_ok and r.uniformity_ok for r in self.rows.values())
-
-
-def suite_report(streams, alpha: float = ALPHA) -> SuiteReport:
-    """Aggregate the battery over many streams.
-
-    For every test the worst sub-test is reported: its pass proportion,
-    checked against the three-sigma acceptance band, and its p-value
-    uniformity statistic.
+    Maps each test name to its worst sub-test's ``"proportion"`` of passing
+    streams, the three-sigma acceptance ``"band"`` (lo, hi) around 1 - alpha,
+    its p-value ``"uniformity"`` statistic, and ``"passed"``: the proportion
+    lies in the band and the uniformity is at least ``UNIFORMITY_FLOOR``.
     """
     streams = list(streams)
     s = len(streams)
@@ -314,10 +296,7 @@ def suite_report(streams, alpha: float = ALPHA) -> SuiteReport:
         per_label = [np.array([r[name][label] for r in results]) for label in labels]
         proportion = min(float((ps >= alpha).mean()) for ps in per_label)
         uniformity = min(pvalue_uniformity(ps) for ps in per_label)
-        rows[name] = SuiteRow(
-            proportion=proportion,
-            proportion_ok=band[0] <= proportion <= band[1],
-            uniformity_p=uniformity,
-            uniformity_ok=uniformity >= UNIFORMITY_FLOOR,
-        )
-    return SuiteReport(rows, s, band)
+        passed = band[0] <= proportion <= band[1] and uniformity >= UNIFORMITY_FLOOR
+        rows[name] = {"proportion": proportion, "band": band, "uniformity": uniformity,
+                      "passed": passed}
+    return rows

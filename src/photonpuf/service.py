@@ -32,9 +32,9 @@ import time
 import numpy as np
 
 from . import bch
-from ._binio import Reader, le, packed_size, unpack_bits
+from ._binio import Reader, counted_bits, le
 from .errors import FormatError
-from .hashing import BitKey, rbm_max_bins
+from .hashing import rbm_max_bins
 from .protocol import (
     EnrollmentRecord,
     authenticate,
@@ -244,7 +244,7 @@ class PufService:
                 raise KeyError("no token installed")
             token = self._tokens[min(self._tokens)]
         bits = random_bits(token, n_bits, self.noise)
-        return bytes([OP_RESULT, OP_RANDOM]) + BitKey(bits).to_bytes()
+        return bytes([OP_RESULT, OP_RANDOM]) + counted_bits(bits)
 
     _HANDLERS = {OP_ENROLL: _handle_enroll, OP_AUTH: _handle_auth, OP_RANDOM: _handle_random}
 
@@ -266,7 +266,7 @@ def random_bits(token: TokenModel, n_bits: int, noise: NoiseParams) -> np.ndarra
                 noise=noise.with_seed(secrets.randbits(64)))
         for _ in range(-(-n_bits // per_image))
     ]
-    return extract_bits(images, per_image).bits[:n_bits]
+    return extract_bits(images, per_image)[:n_bits]
 
 
 # ----------------------------------------------------------------------
@@ -390,9 +390,10 @@ class ServiceClient:
 
     def random_bits(self, n_bits: int) -> np.ndarray:
         r = self._call(OP_RANDOM, le("I", n_bits))
-        n = r.unpack("I")
-        bits = unpack_bits(r.take(packed_size(n)), n)
+        bits = r.counted_bits()
         r.expect_end("random reply")
+        if bits.size != n_bits:
+            raise FormatError(f"random reply carries {bits.size} bits, asked for {n_bits}")
         return bits
 
 

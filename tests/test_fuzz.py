@@ -19,9 +19,9 @@ from hypothesis import strategies as st
 
 from photonpuf import bch
 from photonpuf import token as tok
-from photonpuf._binio import Reader, le
+from photonpuf._binio import Reader, bits_from_bytes, counted_bits, le
 from photonpuf.errors import FormatError
-from photonpuf.hashing import BitKey, helper_from_bytes, helper_to_bytes, rbm_helper
+from photonpuf.hashing import helper_from_bytes, helper_to_bytes, rbm_helper
 from photonpuf.protocol import enroll, record_from_bytes, record_to_bytes
 from photonpuf.service import (
     ERR_INTERNAL,
@@ -75,7 +75,7 @@ SVD_RECORD = (pathlib.Path(__file__).parent / "data" / "svd_8x8_64x64_seed5.pufr
 HELPER_BLOBS = [helper_to_bytes(rbm_helper(OUT, 10, 1)), _record_helper_blob(SVD_RECORD)]
 BCH_BLOBS = [bch.params_to_bytes(CODE), bch.params_to_bytes(bch.bch_new(5, 2))]
 RECORD_BLOBS = [record_to_bytes(enroll(IMAGE, CODE, challenge=PATTERN)[1]), SVD_RECORD]
-KEY_BLOBS = [BitKey([1, 0, 1, 1, 0, 0, 1, 0, 1]).to_bytes()]
+KEY_BLOBS = [counted_bits([1, 0, 1, 1, 0, 0, 1, 0, 1])]
 
 
 def assert_parser_contract(parse, data):
@@ -98,8 +98,8 @@ def test_token_parser_contract(data):
     (helper_from_bytes, HELPER_BLOBS),
     (record_from_bytes, RECORD_BLOBS),
     (bch.params_from_bytes, BCH_BLOBS),
-    (BitKey.from_bytes, KEY_BLOBS),
-], ids=["challenge", "helper", "record", "bch", "bitkey"])
+    (bits_from_bytes, KEY_BLOBS),
+], ids=["challenge", "helper", "record", "bch", "bits_from_bytes"])
 def test_parser_contract(parse, blobs):
     @FUZZ
     @given(hostile(blobs))
@@ -115,8 +115,9 @@ def test_parser_contract(parse, blobs):
     (helper_from_bytes, HELPER_BLOBS[0]),
     (record_from_bytes, RECORD_BLOBS[0]),
     (bch.params_from_bytes, BCH_BLOBS[0]),
-    (BitKey.from_bytes, KEY_BLOBS[0]),
-], ids=["token", "pattern", "wavelength", "no-challenge", "helper", "record", "bch", "bitkey"])
+    (bits_from_bytes, KEY_BLOBS[0]),
+], ids=["token", "pattern", "wavelength", "no-challenge", "helper", "record", "bch",
+        "bits_from_bytes"])
 def test_parser_refuses_appended_bytes(parse, blob):
     parse(blob)
     with pytest.raises(FormatError, match="4 trailing bytes"):

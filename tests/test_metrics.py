@@ -6,7 +6,6 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from photonpuf import errors, metrics
-from photonpuf.hashing import BitKey
 from photonpuf.metrics import (
     DistanceReport,
     cross_correlation,
@@ -33,8 +32,8 @@ def test_euclidean_size_guard():
 
 
 def test_hamming_counts_differing_bits():
-    a = BitKey([1, 0, 1, 1])
-    b = BitKey([0, 0, 1, 0])
+    a = np.array([1, 0, 1, 1], np.uint8)
+    b = np.array([0, 0, 1, 0], np.uint8)
     assert hamming(a, b) == 2
     assert fractional_hamming(a, b) == pytest.approx(0.5)
     assert hamming(a, a) == 0

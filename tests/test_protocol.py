@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 from photonpuf import bch, errors, protocol
+from photonpuf._binio import counted_bits
 from photonpuf.hashing import (
-    BitKey,
     RbmHelper,
     hash_apply,
     helper_from_bytes,
@@ -78,11 +78,11 @@ def fresh_image(rng=RNG, shape=(16, 16)):
     return rng.exponential(scale=50.0, size=shape)
 
 
-def flip(key: BitKey, positions) -> BitKey:
-    bits = key.bits.copy()
+def flip(key: np.ndarray, positions) -> np.ndarray:
+    bits = key.copy()
     for p in positions:
         bits[p] ^= 1
-    return BitKey(bits)
+    return bits
 
 
 # ---------------------------------------------------------------- enrollment
@@ -90,13 +90,13 @@ def flip(key: BitKey, positions) -> BitKey:
 def test_enroll_returns_key_and_matching_record():
     img = fresh_image()
     key, record = enroll(img, PARAMS15, token_id=b"T" * 16)
-    assert key.key_len == 15
+    assert key.dtype == np.uint8 and key.shape == (15,)
     assert record.token_id == b"T" * 16
     assert len(record.record_id) == 16
     assert record.code_offset.size == 15
     assert verify(key, record)
     # helper re-derives the very same key from the clean image
-    assert hash_apply(img, record.hash_helper) == key
+    assert np.array_equal(hash_apply(img, record.hash_helper), key)
 
 
 def test_enroll_without_seed_is_fresh():
@@ -119,7 +119,7 @@ def test_recovery_exhaustive_within_radius():
             got = recover_key(flip(key, positions), record)
             assert got is not None, f"decode failed at weight {w}"
             recovered, corrected = got
-            assert recovered == key
+            assert np.array_equal(recovered, key)
             assert corrected == w
             assert verify(recovered, record)
 
@@ -139,7 +139,7 @@ def test_authenticate_applies_stored_helper(replayed_entropy):
     img = fresh_image(np.random.default_rng(13))
     key, record = enroll(img, PARAMS15)
     got = authenticate(img, record)
-    assert got is not None and got[0] == key and got[1] == 0
+    assert got is not None and np.array_equal(got[0], key) and got[1] == 0
     # unrelated image of the same geometry should not verify
     other = authenticate(fresh_image(np.random.default_rng(99)), record)
     assert other is None or not verify(other[0], record)
@@ -148,7 +148,7 @@ def test_authenticate_applies_stored_helper(replayed_entropy):
 def test_recover_key_length_guard():
     _, record = enroll(fresh_image(), PARAMS15)
     with pytest.raises(ValueError):
-        recover_key(BitKey(np.zeros(31, dtype=np.uint8)), record)
+        recover_key(np.zeros(31, dtype=np.uint8), record)
 
 
 # ---------------------------------------------------------------- secrecy
@@ -159,13 +159,13 @@ def test_record_bytes_leak_neither_key_nor_digest_preimage(replayed_entropy):
     img = fresh_image(np.random.default_rng(21))
     key, record = enroll(img, PARAMS15)
     blob = record_to_bytes(record)
-    packed = np.packbits(key.bits, bitorder="little").tobytes()
+    packed = np.packbits(key, bitorder="little").tobytes()
     assert packed not in blob
-    codeword = key.bits ^ record.code_offset
+    codeword = key ^ record.code_offset
     assert codeword.any()            # offset is a real mask, not the key itself
     # digest is one-way: the record stores SHA-256(key), not key material
     assert record.key_digest == key_digest(key)
-    assert key.to_bytes() not in blob
+    assert counted_bits(key) not in blob
 
 
 def test_code_offset_masks_secret_uniformly():
@@ -181,8 +181,9 @@ def test_code_offset_masks_secret_uniformly():
 
 def test_key_digest_is_sha256_of_wire_form():
     import hashlib
-    key = BitKey([1, 0, 1, 1, 0, 0, 1])
-    assert key_digest(key) == hashlib.sha256(key.to_bytes()).digest()
+    # every stored record's digest hashes these bytes: u32 count 7, then 1011001 LSB first
+    expected = hashlib.sha256(bytes.fromhex("07000000" "4d")).digest()
+    assert key_digest([1, 0, 1, 1, 0, 0, 1]) == expected
 
 
 # ---------------------------------------------------------------- container
@@ -288,7 +289,6 @@ _, RECORD15 = enroll(fresh_image(np.random.default_rng(35)), PARAMS15)
 
 # source array, the container built from it, and the field that holds its copy
 FROZEN_CONTAINERS = {
-    "BitKey": (np.array([1, 0, 1, 1], np.uint8), BitKey, "bits"),
     "RbmHelper": (np.ones(16, np.int8), lambda a: RbmHelper(a, [0, 3], (4, 4)), "signs"),
     "PixelPattern": (np.eye(4, dtype=np.uint8), PixelPattern, "mask"),
     "EnrollmentRecord": (np.zeros(15, np.uint8),

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from scipy.special import erfc, gammaincc
 
 from photonpuf import randomness as rnd
-from photonpuf.hashing import BitKey
+from photonpuf._binio import bits_from_bytes, counted_bits
 from photonpuf.randomness import battery, extract_bits, pvalue_uniformity, suite_report
 
 RNG = np.random.default_rng(20260814)
@@ -372,72 +372,74 @@ def test_uniformity_rejects_empty():
 # ---------------------------------------------------------------- suite report
 
 def test_suite_report_good_ensemble():
-    streams = [BitKey(random_bits(8192, 100 + seed)) for seed in range(40)]
-    report = suite_report(streams)
-    assert report.n_streams == 40
-    assert tuple(report.rows) == BATTERY
-    lo, hi = report.proportion_band
+    streams = [random_bits(8192, 100 + seed) for seed in range(40)]
+    rows = suite_report(streams)
+    assert tuple(rows) == BATTERY
+    assert all(set(row) == {"proportion", "band", "uniformity", "passed"} for row in rows.values())
+    lo, hi = rows["frequency"]["band"]
     assert lo == pytest.approx(0.99 - 3 * math.sqrt(0.99 * 0.01 / 40)) and hi == 1.0
-    assert report.passed
+    assert all(row["passed"] for row in rows.values())
 
 
 def test_suite_report_flags_bias():
     rng = np.random.default_rng(3)
-    streams = [BitKey((rng.random(4096) < 0.58).astype(np.uint8)) for _ in range(20)]
-    report = suite_report(streams)
-    assert not report.passed
-    assert not report.rows["frequency"].proportion_ok
+    streams = [(rng.random(4096) < 0.58).astype(np.uint8) for _ in range(20)]
+    row = suite_report(streams)["frequency"]
+    lo, hi = row["band"]
+    assert not row["passed"]
+    assert not lo <= row["proportion"] <= hi
 
 
 def test_suite_report_flags_identical_streams():
     # copies of one good stream pass individually but flunk uniformity
-    stream = BitKey(random_bits(4096, 11))
-    report = suite_report([stream] * 25)
-    assert report.rows["frequency"].proportion_ok
-    assert not report.rows["frequency"].uniformity_ok
-    assert not report.passed
+    stream = random_bits(4096, 11)
+    row = suite_report([stream] * 25)["frequency"]
+    lo, hi = row["band"]
+    assert lo <= row["proportion"] <= hi
+    assert row["uniformity"] < rnd.UNIFORMITY_FLOOR
+    assert not row["passed"]
 
 
 def test_suite_report_needs_two_streams():
     with pytest.raises(ValueError):
-        suite_report([BitKey(random_bits(4096))])
+        suite_report([random_bits(4096)])
 
 
 # ---------------------------------------------------------------- stream files
 
 def test_bitstream_roundtrip_and_wire_format():
     bits = random_bits(77, 9)
-    stream = BitKey(bits)
-    blob = stream.to_bytes()
+    blob = counted_bits(bits)
     assert blob[:4] == (77).to_bytes(4, "little")
     assert len(blob) == 4 + 10
-    back = BitKey.from_bytes(blob)
-    assert np.array_equal(back.bits, bits)
-    assert len(back) == 77
+    back = bits_from_bytes(blob)
+    assert np.array_equal(back, bits)
+    assert back.shape == (77,)
 
 
 def test_stream_file_of_the_removed_bitstream_class_loads():
-    # written by BitStream([1, 0, 1, 1, 0, 0, 0, 0, 1, 1, 1, 0, 1]).to_bytes()
-    # before extract_bits returned a BitKey: u32 count, then bits LSB-first
+    # written by BitStream([1, 0, 1, 1, 0, 0, 0, 0, 1, 1, 1, 0, 1]).to_bytes(),
+    # the counted bit string: u32 count, then bits LSB-first
     blob = bytes.fromhex("0d000000" "0d17")
-    back = BitKey.from_bytes(blob)
-    assert back.bits.tolist() == [1, 0, 1, 1, 0, 0, 0, 0, 1, 1, 1, 0, 1]
-    assert back.to_bytes() == blob
+    back = bits_from_bytes(blob)
+    assert back.tolist() == [1, 0, 1, 1, 0, 0, 0, 0, 1, 1, 1, 0, 1]
+    assert counted_bits(back) == blob
 
 
 def test_bitstream_validation_and_immutability():
     with pytest.raises(ValueError):
-        BitKey([0, 1, 3])
-    s = BitKey([1, 0])
-    with pytest.raises(ValueError):
-        s.bits[0] = 0
+        counted_bits([0, 1, 3])
+    # each read is the caller's own array: changing it leaves a second read intact
+    blob = counted_bits([1, 0])
+    s = bits_from_bytes(blob)
+    s[0] = 0
+    assert bits_from_bytes(blob).tolist() == [1, 0]
 
 
 @settings(deadline=None, max_examples=40)
 @given(st.lists(st.integers(min_value=0, max_value=1), min_size=1, max_size=200))
 def test_bitstream_roundtrip_property(bits):
-    back = BitKey.from_bytes(BitKey(bits).to_bytes())
-    assert back.bits.tolist() == bits
+    assert bits_from_bytes(counted_bits(bits)).tolist() == bits
 
 
 # ---------------------------------------------------------------- extraction
@@ -451,16 +453,15 @@ def test_extract_deterministic_and_seeded():
     imgs = exp_images(3)
     a = extract_bits(imgs, 500)
     b = extract_bits(imgs, 500)
-    assert isinstance(a, BitKey)
-    assert np.array_equal(a.bits, b.bits)
-    assert len(a) == 3 * 500
+    assert a.dtype == np.uint8 and a.shape == (3 * 500,)
+    assert np.array_equal(a, b)
 
 
 def test_extract_concatenates_in_order():
     imgs = exp_images(3, seed=4)
     whole = extract_bits(imgs, 500)
     parts = [extract_bits([img], 500) for img in imgs]
-    assert np.array_equal(whole.bits, np.concatenate([p.bits for p in parts]))
+    assert np.array_equal(whole, np.concatenate(parts))
 
 
 def test_extract_validations():
@@ -480,6 +481,6 @@ def test_extract_validations():
 def test_extracted_bits_look_fair():
     imgs = exp_images(10, seed=6)
     stream = extract_bits(imgs, 1000)
-    assert abs(stream.bits.mean() - 0.5) < 0.02
+    assert abs(stream.mean() - 0.5) < 0.02
     assert rnd.frequency(stream)["frequency"] > 0.001
     assert rnd.runs(stream)["runs"] > 0.001

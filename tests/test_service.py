@@ -25,7 +25,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photonpuf import bch, errors, protocol, service as svc
-from photonpuf.hashing import BitKey
 from photonpuf.protocol import enroll, key_digest
 from photonpuf.service import (
     ERR_BAD_FRAME,
@@ -48,7 +47,7 @@ from photonpuf.service import (
 )
 from photonpuf.randomness import extract_bits
 from photonpuf.token import NoiseParams, challenge_to_bytes, new_token, random_pattern, respond
-from photonpuf._binio import le
+from photonpuf._binio import counted_bits, le
 
 def stored_files(directory):
     return sorted(os.listdir(directory))
@@ -191,7 +190,7 @@ class CannedClient(ServiceClient):
 def test_client_checks_replies_as_the_server_checks_requests():
     enrolled = bytes([OP_RESULT, OP_ENROLL]) + b"r" * 16 + b"d" * 32
     accepted = bytes([OP_RESULT, OP_AUTH, 1]) + le("H", 2)
-    bits = bytes([OP_RESULT, OP_RANDOM]) + BitKey([1, 0, 1]).to_bytes()
+    bits = bytes([OP_RESULT, OP_RANDOM]) + counted_bits([1, 0, 1])
     assert CannedClient(enrolled).enroll(b"t" * 16, chal_blob()) == (b"r" * 16, b"d" * 32)
     assert CannedClient(accepted).auth(b"r" * 16) == (True, 2)
     assert CannedClient(bits).random_bits(3).tolist() == [1, 0, 1]
@@ -207,6 +206,7 @@ def test_client_checks_replies_as_the_server_checks_requests():
         ("enroll", enrolled + b"\x00"),
         ("random_bits", bytes([OP_RESULT, OP_AUTH]) + bits[2:]),
         ("random_bits", bits + b"\x00"),
+        ("random_bits", bits[:2] + counted_bits([1, 0])),   # fewer bits than asked for
     ]
     args = {"auth": (b"r" * 16,), "enroll": (b"t" * 16, chal_blob()), "random_bits": (3,)}
     for call, reply in malformed:
@@ -351,7 +351,7 @@ def test_public_record_does_not_reveal_the_key(tmp_path):
     for guess in range(1, 10):
         rng = np.random.default_rng(np.random.SeedSequence([guess, 0xE14]))
         secret = rng.integers(0, 2, size=params.k, dtype=np.uint8)
-        key = BitKey(record.code_offset ^ bch.encode(params, secret))
+        key = record.code_offset ^ bch.encode(params, secret)
         assert key_digest(key) != record.key_digest
 
 
@@ -476,10 +476,10 @@ def test_internal_error_is_logged_without_secrets(tmp_path, monkeypatch, caplog)
     assert "injected failure" in caplog.text and "Traceback" in caplog.text
 
     (key, record), = made
-    offset = BitKey(record.code_offset)
+    offset = record.code_offset
     secrets_shown = [payload.hex(), repr(payload)[2:-1],
-                     key.to_bytes().hex(), "".join(map(str, key.bits)),
-                     offset.to_bytes().hex(), "".join(map(str, offset.bits))]
+                     counted_bits(key).hex(), "".join(map(str, key)),
+                     counted_bits(offset).hex(), "".join(map(str, offset))]
     for line in caplog.text.splitlines():
         for s in secrets_shown:
             assert s not in line
@@ -518,7 +518,7 @@ def test_random_reply_layout(tmp_path, counted_entropy):
     token = new_token(1, grid_dims=(8, 8), out_dims=(32, 32))
     images = [respond(token, random_pattern((8, 8), seed), noise=NoiseParams().with_seed(seed + 1))
               for seed in (1, 3)]
-    bits = extract_bits(images, 32 * 32 // 2 - 1).bits[:700]
+    bits = extract_bits(images, 32 * 32 // 2 - 1)[:700]
     assert reply == (bytes([OP_RESULT, OP_RANDOM]) + struct.pack("<I", 700)
                      + np.packbits(bits, bitorder="little").tobytes())
 
