@@ -12,10 +12,11 @@ canonical dataset shapes and returns its captures, reference first:
 Capture i uses noise seed ``noise.noise_seed + i``. ``score`` compares the
 reference with every later capture, mirroring how authentication compares
 field captures to the enrolled key, and returns a plain mapping from metric
-name to ``metrics.DistanceReport``: ``"euclidean"`` and ``"correlation"``
-always, and ``"hamming"`` when a key length is supplied. The reference then
-enrolls with ``hashing.hash_enroll`` at mapping seed 0, so every evaluation
-of one geometry hashes with the same mapping, and every later capture is
+name to a float64 array of distances: ``"euclidean"`` and ``"correlation"``
+always, and ``"hamming"`` when a key length is supplied. ``key_distances`` is
+the one place an evaluation derives keys: the reference enrolls with
+``hashing.hash_enroll`` (mapping seed 0 unless given, so every evaluation of
+one geometry hashes with the same mapping), and every later capture is
 hashed with the reference's helper.
 
 ``success_curve`` turns the Hamming distances between enrollment and
@@ -34,6 +35,7 @@ from .hashing import hash_apply, hash_enroll
 from .token import NoiseParams, TokenModel, respond
 
 __all__ = [
+    "key_distances",
     "robustness",
     "score",
     "success_curve",
@@ -73,24 +75,24 @@ def unclonability(token: TokenModel, challenge, other_token_seeds, noise: NoiseP
     return images
 
 
-def score(kind: str, images, key_len: int | None = None) -> dict[str, metrics.DistanceReport]:
-    """Distances from ``images[0]`` to every later capture by metric; ``kind`` labels the reports."""
+def key_distances(images, key_len: int, seed: int = 0) -> np.ndarray:
+    """Hamming distance from ``images[0]``'s key (mapping ``seed``) to each later capture's."""
     ref, *rest = images
+    ref_key, helper = hash_enroll(ref, key_len, seed)
+    return np.array([metrics.hamming(ref_key, hash_apply(img, helper)) for img in rest],
+                    dtype=np.int64)
 
-    def report(metric, values):
-        return metrics.DistanceReport.from_values(values, kind=kind, metric=metric)
 
-    reports = {
-        "euclidean": report("euclidean", [metrics.euclidean(ref, img) for img in rest]),
-        "correlation": report("cross_correlation",
-                              [metrics.cross_correlation(ref, img) for img in rest]),
+def score(images, key_len: int | None = None) -> dict[str, np.ndarray]:
+    """Distances from ``images[0]`` to every later capture by metric."""
+    ref, *rest = images
+    distances = {
+        "euclidean": np.array([metrics.euclidean(ref, img) for img in rest]),
+        "correlation": np.array([metrics.cross_correlation(ref, img) for img in rest]),
     }
     if key_len is not None:
-        ref_key, helper = hash_enroll(ref, key_len, 0)
-        keys = [hash_apply(img, helper) for img in rest]
-        reports["hamming"] = report("fractional_hamming",
-                                    [metrics.fractional_hamming(ref_key, key) for key in keys])
-    return reports
+        distances["hamming"] = key_distances(images, key_len) / key_len
+    return distances
 
 
 def success_curve(distances, key_len: int) -> np.ndarray:

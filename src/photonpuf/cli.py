@@ -9,17 +9,16 @@ from __future__ import annotations
 
 import argparse
 import itertools
-import os
 import secrets
 import sys
 
 import numpy as np
 
 from . import bch
-from .campaign import robustness, score, success_curve, unclonability, unpredictability
+from .campaign import (key_distances, robustness, score, success_curve, unclonability,
+                       unpredictability)
 from ._binio import bits_from_bytes, counted_bits
-from .hashing import hash_apply, hash_enroll
-from .metrics import hamming
+from .metrics import histogram
 from .protocol import authenticate, enroll, load_record, save_record, verify
 from .randomness import battery, suite_report
 from .service import DEFAULT_FRAME_TIMEOUT, PufServer, PufService, RecordStore, random_bits
@@ -59,6 +58,13 @@ def _parse_dims(text: str) -> tuple:
         return (int(a), int(b))
     except Exception:
         raise argparse.ArgumentTypeError(f"expected ROWSxCOLS, got {text!r}")
+
+
+def _alpha(text: str) -> float:
+    alpha = float(text)
+    if not 0.0 < alpha < 1.0:
+        raise argparse.ArgumentTypeError(f"alpha must lie in (0, 1), got {text!r}")
+    return alpha
 
 
 def _load_challenge(path: str):
@@ -234,20 +240,38 @@ def _capture_unclonability(args, token, noise):
     return unclonability(token, _load_challenge(args.challenge), others, noise)
 
 
+# score's metric name -> (stdout prefix, report header label)
+_DISTANCE_LABELS = {
+    "euclidean": ("ed", "euclidean"),
+    "correlation": ("cc", "cross_correlation"),
+    "hamming": ("hd", "fractional_hamming"),
+}
+
+
+def _save_histogram(path, kind, metric, values):
+    counts, edges = histogram(values)
+    with open(path, "w") as out:
+        out.write(f"# kind={kind} metric={metric}\n")
+        out.write(f"# count={values.size} mean={values.mean():.6g} std={values.std():.6g}\n")
+        out.write("bin_lo\tbin_hi\tcount\n")
+        for lo, hi, c in zip(edges[:-1], edges[1:], counts):
+            out.write(f"{lo:.6g}\t{hi:.6g}\t{int(c)}\n")
+
+
 def _cmd_eval_distances(args) -> int:
     token = load_token(args.token)
     key_len = None if args.no_hash else args.key_len
-    reports = score(args.action, args.capture(args, token, _noise_from_args(args)), key_len)
+    distances = score(args.capture(args, token, _noise_from_args(args)), key_len)
 
-    pairs = [("kind", args.action), ("pairs", reports["euclidean"].count)]
-    for name, report in reports.items():
-        short = {"euclidean": "ed", "correlation": "cc", "hamming": "hd"}[name]
-        pairs.append((f"{short}_mean", report.mean))
-        pairs.append((f"{short}_std", report.std))
+    pairs = [("kind", args.action), ("pairs", distances["euclidean"].size)]
+    for name, values in distances.items():
+        short = _DISTANCE_LABELS[name][0]
+        pairs.append((f"{short}_mean", float(values.mean())))
+        pairs.append((f"{short}_std", float(values.std())))
     if args.report:
-        for name, report in reports.items():
+        for name, values in distances.items():
             path = f"{args.report}.{name}.tsv"
-            report.save_tsv(path)
+            _save_histogram(path, args.action, _DISTANCE_LABELS[name][1], values)
             pairs.append((f"report_{name}", path))
     _emit(*pairs)
     return 0
@@ -260,13 +284,12 @@ def _cmd_eval_success_curve(args) -> int:
     distances = []
     for i in range(args.enrollments):
         challenge = random_pattern(token.grid_dims, args.seed + i)
-        # capture 0 enrolls, captures 1..auths authenticate against it
+        # capture 0 enrolls at mapping seed i, captures 1..auths authenticate against it
         images = robustness(token, challenge, noise.with_seed(noise.noise_seed + 1000 * i),
                             args.auths + 1)
-        key, helper = hash_enroll(images[0], params.n, i)
-        distances += [hamming(key, hash_apply(img, helper)) for img in images[1:]]
-    curve = success_curve(distances, params.n)
-    hd = np.array(distances)
+        distances.append(key_distances(images, params.n, i))
+    hd = np.array(distances, dtype=np.int64).ravel()
+    curve = success_curve(hd, params.n)
     pairs = [
         ("pairs", hd.size),
         ("key_len", params.n),
@@ -441,13 +464,12 @@ def _build_parser() -> argparse.ArgumentParser:
                  "not evidence of entropy")
     p_test = rng_sub.add_parser("test", help=test_help, description=test_help)
     p_test.add_argument("--input", nargs="+", required=True)
-    p_test.add_argument("--alpha", type=float, default=0.01)
+    p_test.add_argument("--alpha", type=_alpha, default=0.01)
     p_test.set_defaults(func=_cmd_rng_test)
 
     p_serve = sub.add_parser("serve", help="run the framed TCP service")
-    p_serve.add_argument("--host", default=os.environ.get("PHOTONPUF_HOST", "127.0.0.1"))
-    p_serve.add_argument("--port", type=int,
-                         default=int(os.environ.get("PHOTONPUF_PORT", "7341")))
+    p_serve.add_argument("--host", default="127.0.0.1")
+    p_serve.add_argument("--port", type=int, default=7341)
     p_serve.add_argument("--token", action="append", required=True,
                          help="token file; repeat to install several")
     p_serve.add_argument("--store", required=True, help="record directory")

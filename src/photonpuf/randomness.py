@@ -283,6 +283,8 @@ def suite_report(streams, alpha: float = ALPHA) -> dict[str, dict]:
     its p-value ``"uniformity"`` statistic, and ``"passed"``: the proportion
     lies in the band and the uniformity is at least ``UNIFORMITY_FLOOR``.
     """
+    if not 0.0 < alpha < 1.0:
+        raise ValueError(f"alpha must lie in (0, 1), got {alpha}")
     streams = list(streams)
     s = len(streams)
     if s < 2:

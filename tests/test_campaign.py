@@ -11,6 +11,7 @@ import pytest
 
 import photonpuf.campaign as campaign_mod
 from photonpuf.campaign import (
+    key_distances,
     robustness,
     score,
     success_curve,
@@ -56,38 +57,36 @@ def test_robustness_counts_and_determinism():
     images = robustness(token, chal, noise, 5)
     # capture i is seeded noise_seed + i
     assert np.array_equal(images[2], respond(token, chal, noise.with_seed(42)))
-    res1 = score("robustness", images)
-    res2 = score("robustness", robustness(token, chal, noise, 5))
-    assert list(res1) == ["euclidean", "correlation"]    # no helper, no hamming report
-    assert all(report.kind == "robustness" for report in res1.values())
-    assert res1["euclidean"].count == 4         # reference vs the other four
-    assert np.array_equal(res1["euclidean"].values, res2["euclidean"].values)
+    res1 = score(images)
+    res2 = score(robustness(token, chal, noise, 5))
+    assert list(res1) == ["euclidean", "correlation"]    # no key length, no hamming distances
+    assert res1["euclidean"].size == 4          # reference vs the other four
+    assert np.array_equal(res1["euclidean"], res2["euclidean"])
 
 
 def test_unpredictability_counts():
     chals = tuple(random_pattern((8, 8), s) for s in range(7))
-    res = score("unpredictability", unpredictability(small_token(3), chals, mild_noise()))
-    assert res["euclidean"].count == 6          # reference vs the other six
+    res = score(unpredictability(small_token(3), chals, mild_noise()))
+    assert res["euclidean"].size == 6           # reference vs the other six
 
 
 def test_unclonability_counts():
     chal = random_pattern((8, 8), 1)
-    res = score("unclonability", unclonability(small_token(0), chal, range(1, 6), mild_noise()))
-    assert res["correlation"].count == 5
+    res = score(unclonability(small_token(0), chal, range(1, 6), mild_noise()))
+    assert res["correlation"].size == 5
 
 
 def test_hash_report_attached_when_configured():
     chal = random_pattern((8, 8), 1)
     images = robustness(small_token(3), chal, mild_noise(), 4)
-    res = score("robustness", images, 128)
-    # the report files' headers keep the metric names
-    assert {name: report.metric for name, report in res.items()} == {
-        "euclidean": "euclidean",
-        "correlation": "cross_correlation",
-        "hamming": "fractional_hamming",
-    }
-    assert res["hamming"].count == 3
-    assert 0.0 <= res["hamming"].mean <= 1.0
+    res = score(images, 128)
+    assert list(res) == ["euclidean", "correlation", "hamming"]
+    assert res["hamming"].size == 3
+    assert 0.0 <= res["hamming"].mean() <= 1.0
+    # the fractional distances are the one key path's integer distances over the key length
+    distances = key_distances(images, 128)
+    assert distances.dtype == np.int64
+    assert np.array_equal(res["hamming"] * 128, distances)
 
 
 def test_regime_ordering():
@@ -95,13 +94,13 @@ def test_regime_ordering():
     token = small_token(1)
     noise = mild_noise()
     chals = tuple(random_pattern((8, 8), s, on_fraction=0.5) for s in range(9))
-    rob = score("robustness", robustness(token, chals[0], noise, 8))
-    unp = score("unpredictability", unpredictability(token, chals, noise))
-    unc = score("unclonability", unclonability(small_token(2), chals[0], range(3, 11), noise))
-    assert rob["euclidean"].mean < unp["euclidean"].mean
-    assert rob["correlation"].mean > 0.9
-    assert abs(unc["correlation"].mean) < 0.2
-    assert unp["correlation"].mean < rob["correlation"].mean
+    rob = score(robustness(token, chals[0], noise, 8))
+    unp = score(unpredictability(token, chals, noise))
+    unc = score(unclonability(small_token(2), chals[0], range(3, 11), noise))
+    assert rob["euclidean"].mean() < unp["euclidean"].mean()
+    assert rob["correlation"].mean() > 0.9
+    assert abs(unc["correlation"].mean()) < 0.2
+    assert unp["correlation"].mean() < rob["correlation"].mean()
 
 
 # ---------------------------------------------------------------- success curve

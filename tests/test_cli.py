@@ -13,6 +13,7 @@ import time
 import numpy as np
 import pytest
 
+from photonpuf._binio import counted_bits
 from photonpuf.cli import _build_parser, _noise_from_args, main
 from photonpuf.hashing import helper_to_bytes
 from photonpuf.protocol import load_record
@@ -69,6 +70,13 @@ def test_token_new_and_show(tmp_path, capsys):
     assert kv["token_id"] == tid
     assert kv["grid"] == "4x4"
     assert kv["out"] == "16x16"
+
+
+def test_port_environment_variable_is_ignored(workdir, capsys, monkeypatch):
+    monkeypatch.setenv("PHOTONPUF_PORT", "abc")
+    code, kv, _ = run_cli(capsys, "token", "show", "--token", str(workdir / "tok.puft"))
+    assert code == 0
+    assert kv["seed"] == "7"
 
 
 def test_token_new_default_filename(tmp_path, capsys, monkeypatch):
@@ -333,6 +341,12 @@ def test_eval_robustness_report(workdir, tmp_path, capsys):
         "correlation": "# kind=robustness metric=cross_correlation",
         "hamming": "# kind=robustness metric=fractional_hamming",
     }
+    for name in headers:
+        assert kv[f"report_{name}"] == f"{prefix}.{name}.tsv"
+        lines = (tmp_path / f"rob.{name}.tsv").read_text().splitlines()
+        assert lines[1].startswith("# count=5 mean=")
+        assert lines[2] == "bin_lo\tbin_hi\tcount"
+        assert sum(int(line.split("\t")[2]) for line in lines[3:]) == int(kv["pairs"])
 
 
 def test_eval_unpredictability(workdir, capsys):
@@ -423,6 +437,21 @@ def test_eval_success_curve(workdir, tmp_path, capsys):
     assert lines[-1].endswith("1.000000")
 
 
+def test_eval_success_curve_and_robustness_share_one_key_path(workdir, capsys):
+    # enrollment 0 captures the challenge of --seed at noise seeds 4..9 and hashes at mapping
+    # seed 0, as robustness on that challenge does
+    code, curve, _ = run_cli(capsys, "eval", "success-curve",
+                             "--token", str(workdir / "tok.puft"), "--seed", "3",
+                             "--enrollments", "1", "--auths", "5", "--noise-seed", "4")
+    assert code == 0
+    code, rob, _ = run_cli(capsys, "eval", "robustness", "--token", str(workdir / "tok.puft"),
+                           "--challenge", str(workdir / "c.chal"), "--repeats", "6",
+                           "--key-len", "255", "--noise-seed", "4")
+    assert code == 0
+    assert curve["pairs"] == rob["pairs"] == "5"
+    assert float(curve["hd_mean"]) == pytest.approx(255 * float(rob["hd_mean"]), rel=1e-5)
+
+
 def test_eval_success_curve_key_len_flag_is_a_usage_error(workdir):
     # the curve is read against the code's t, so its key length is the code length
     with pytest.raises(SystemExit) as exc:
@@ -483,6 +512,20 @@ def test_rng_extract_bit_count_out_of_range(workdir, tmp_path, capsys, bits):
     assert code == 1
     assert err.strip() == f"error=bit count must be in 1..{MAX_RANDOM_BITS}"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("streams", [1, 2])
+@pytest.mark.parametrize("alpha", ["-1", "0", "1", "1.5", "nan"])
+def test_rng_test_alpha_outside_unit_interval_is_a_usage_error(tmp_path, streams, alpha):
+    rng = np.random.default_rng(streams)
+    paths = []
+    for i in range(streams):
+        path = tmp_path / f"s{i}.puf"
+        path.write_bytes(counted_bits(rng.integers(0, 2, 2000, dtype=np.uint8)))
+        paths.append(str(path))
+    with pytest.raises(SystemExit) as exc:
+        main(["rng", "test", "--input", *paths, "--alpha", alpha])
+    assert exc.value.code == 2
 
 
 def test_rng_test_missing_file(capsys, tmp_path):

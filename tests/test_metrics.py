@@ -6,13 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from photonpuf import errors, metrics
-from photonpuf.metrics import (
-    DistanceReport,
-    cross_correlation,
-    euclidean,
-    fractional_hamming,
-    hamming,
-)
+from photonpuf.metrics import cross_correlation, euclidean, hamming, histogram
 
 RNG = np.random.default_rng(20260814)
 
@@ -35,7 +29,6 @@ def test_hamming_counts_differing_bits():
     a = np.array([1, 0, 1, 1], np.uint8)
     b = np.array([0, 0, 1, 0], np.uint8)
     assert hamming(a, b) == 2
-    assert fractional_hamming(a, b) == pytest.approx(0.5)
     assert hamming(a, a) == 0
 
 
@@ -58,39 +51,21 @@ def test_cross_correlation_degenerate():
         cross_correlation(np.ones(10), RNG.normal(size=10))
 
 
-# ---------------------------------------------------------------- reports
+# ---------------------------------------------------------------- histogram
 
-def test_report_moments_and_count():
-    vals = np.array([1.0, 2.0, 3.0, 4.0])
-    rep = DistanceReport.from_values(vals, kind="demo", metric="euclidean")
-    assert rep.mean == pytest.approx(2.5)
-    assert rep.std == pytest.approx(np.sqrt(1.25))
-    assert rep.count == 4
-    assert rep.counts.sum() == 4
-
-
-def test_report_rejects_empty():
+def test_histogram_rejects_empty():
     with pytest.raises(ValueError):
-        DistanceReport.from_values([])
-
-
-def test_report_tsv_roundtrip(tmp_path):
-    rep = DistanceReport.from_values(RNG.normal(size=200), kind="x", metric="euclidean")
-    path = tmp_path / "hist.tsv"
-    rep.save_tsv(path)
-    text = path.read_text()
-    lines = text.strip().split("\n")
-    assert lines[0].startswith("# kind=x")
-    assert lines[2] == "bin_lo\tbin_hi\tcount"
-    total = sum(int(line.split("\t")[2]) for line in lines[3:])
-    assert total == 200
+        histogram([])
 
 
 @settings(deadline=None, max_examples=30)
 @given(st.lists(st.floats(min_value=-100, max_value=100, allow_nan=False), min_size=1, max_size=50))
+@example(values=[1.0, 2.0, 3.0, 4.0])
 # a near-zero IQR next to a unit range once asked numpy for ~2e16 bins
 @example(values=[0.0, 0.0, 0.0, 1.0, 2.160207176664871e-193])
-def test_report_bins_hold_every_value_and_are_capped(values):
-    rep = DistanceReport.from_values(values)
-    assert rep.counts.sum() == len(values)
-    assert 1 <= rep.counts.size <= metrics._MAX_BINS
+def test_histogram_bins_hold_every_value_and_are_capped(values):
+    counts, edges = histogram(values)
+    assert counts.sum() == len(values)
+    assert 1 <= counts.size <= metrics._MAX_BINS
+    assert edges.size == counts.size + 1
+    assert edges[0] <= min(values) and max(values) <= edges[-1]

@@ -405,6 +405,12 @@ def test_suite_report_needs_two_streams():
         suite_report([random_bits(4096)])
 
 
+@pytest.mark.parametrize("alpha", [-1.0, 0.0, 1.0, 1.5, float("nan")])
+def test_suite_report_rejects_alpha_outside_unit_interval(alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        suite_report([random_bits(4096), random_bits(4096)], alpha=alpha)
+
+
 # ---------------------------------------------------------------- stream files
 
 def test_bitstream_roundtrip_and_wire_format():
